@@ -198,7 +198,7 @@ func benchmarkBatchWorkers(b *testing.B, workers int) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_, stats := engine.VerifyPlanBatch(pairs, engine.Options{Workers: workers})
-		if stats.Pairs != len(pairs) {
+		if stats.Pairs != int64(len(pairs)) {
 			b.Fatalf("verified %d of %d pairs", stats.Pairs, len(pairs))
 		}
 	}
@@ -219,7 +219,7 @@ func benchmarkBatchAllocs(b *testing.B, opts engine.Options) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_, stats := engine.VerifyPlanBatch(pairs, opts)
-		if stats.Pairs != len(pairs) {
+		if stats.Pairs != int64(len(pairs)) {
 			b.Fatalf("verified %d of %d pairs", stats.Pairs, len(pairs))
 		}
 	}

@@ -31,6 +31,15 @@ if grep -rn 'smt\.New()' internal/verify --include='*.go' \
     exit 1
 fi
 
+# Formatting gate: every tracked Go file is gofmt-clean. Only tracked
+# files are listed, so the git-ignored .bench_build/ (the benchmark's
+# build cache and binaries) is never checked.
+unformatted=$(gofmt -l $(git ls-files '*.go'))
+if [ -n "$unformatted" ]; then
+    echo "ci: gofmt needed: $unformatted" >&2
+    exit 1
+fi
+
 go vet ./...
 go build ./...
 go test -race ./...
@@ -592,3 +601,7 @@ grep -q 'spes-router: drained' "$tmp/repl-router.log"
 kill -INT $SHARD_A_PID
 wait $SHARD_A_PID
 grep -q 'spes-serve: drained' "$tmp/repl-a.log"
+
+# The benchmark is its own module (perfbench/go.mod), so the root ./...
+# skips it; vet it and run its tests against the library types it reads.
+(cd perfbench && go vet ./... && go test ./...)

@@ -153,7 +153,7 @@ func main() {
 			fail("shutdown: %v", err)
 		}
 		<-errCh // Serve returns nil after Shutdown
-		st := srv.Engine().Stats()
+		st := srv.Stats()
 		fmt.Printf("spes-serve: drained; lifetime pairs=%d equivalent=%d cache_hit_rate=%.2f panics_recovered=%d watchdog_aborts=%d store_hits=%d epochs=%d\n",
 			st.Pairs, st.Equivalent, st.ObligationHitRate(), st.Panics, st.WatchdogAborts, st.StoreHits, st.InternerEpochs)
 	}

@@ -31,7 +31,7 @@ type BatchReport struct {
 	// symbolic proof (refuted + not-proved) — how often a failed proof was
 	// a genuine inequivalence the bounded search could expose.
 	RefuteBudget   int     `json:"refute_budget,omitempty"`
-	Refuted        int     `json:"refuted"`
+	Refuted        int64   `json:"refuted"`
 	RefutationRate float64 `json:"refutation_rate"`
 
 	CacheHitRate     float64 `json:"cache_hit_rate"`
@@ -39,10 +39,10 @@ type BatchReport struct {
 	ObligationMisses int64   `json:"obligation_misses"`
 	NormHits         int64   `json:"norm_hits"`
 	NormMisses       int64   `json:"norm_misses"`
-	Deduped          int     `json:"deduped"`
-	Timeouts         int     `json:"timeouts"`
-	SolverSessions   int     `json:"solver_sessions"`
-	PrefixReuse      int     `json:"prefix_reuse"`
+	Deduped          int64   `json:"deduped"`
+	Timeouts         int64   `json:"timeouts"`
+	SolverSessions   int64   `json:"solver_sessions"`
+	PrefixReuse      int64   `json:"prefix_reuse"`
 
 	Verdicts map[string]int `json:"verdicts"`
 }
@@ -127,7 +127,7 @@ func RunBatch(w *corpus.Workload, workers int, timeout time.Duration, refuteBudg
 	})
 
 	rep := BatchReport{
-		Pairs:                 stats.Pairs,
+		Pairs:                 int(stats.Pairs),
 		Workers:               stats.Workers,
 		SequentialMS:          ms(seqWall),
 		BatchMS:               ms(stats.Wall),

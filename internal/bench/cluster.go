@@ -299,9 +299,7 @@ func runClusterRound(cat *schema.Catalog, stream []server.BatchPairJSON, shards,
 		load := ClusterShardLoad{ID: sh.ID}
 		if sh.Engine != nil {
 			load.Pairs = sh.Engine.Pairs
-			if t := sh.Engine.ObligationHits + sh.Engine.ObligationMisses; t > 0 {
-				load.ObligationHitRate = float64(sh.Engine.ObligationHits) / float64(t)
-			}
+			load.ObligationHitRate = sh.Engine.ObligationHitRate()
 		}
 		round.PerShard = append(round.PerShard, load)
 	}

@@ -49,8 +49,8 @@ type ConstraintsReport struct {
 	WoAllocMB    float64 `json:"without_alloc_mb"`
 	AllocDeltaMB float64 `json:"alloc_delta_mb"`
 
-	WithSolverQueries    int `json:"with_solver_queries"`
-	WithoutSolverQueries int `json:"without_solver_queries"`
+	WithSolverQueries    int64 `json:"with_solver_queries"`
+	WithoutSolverQueries int64 `json:"without_solver_queries"`
 
 	PerPair []ConstraintPairOutcome `json:"per_pair"`
 }

@@ -104,18 +104,6 @@ func warmRate(d engine.StatsSnapshot) float64 {
 	return float64(d.ObligationHits+d.StoreHits) / float64(total)
 }
 
-// statsDelta subtracts the counters the study reads.
-func statsDelta(after, before engine.StatsSnapshot) engine.StatsSnapshot {
-	return engine.StatsSnapshot{
-		Pairs:            after.Pairs - before.Pairs,
-		ObligationHits:   after.ObligationHits - before.ObligationHits,
-		ObligationMisses: after.ObligationMisses - before.ObligationMisses,
-		StoreHits:        after.StoreHits - before.StoreHits,
-		StoreMisses:      after.StoreMisses - before.StoreMisses,
-		WitnessHits:      after.WitnessHits - before.WitnessHits,
-	}
-}
-
 func runFailoverCase(cat *schema.Catalog, stream []server.BatchPairJSON, chunk int, replicated bool) (FailoverCase, string, error) {
 	c := FailoverCase{Replicated: replicated}
 
@@ -206,7 +194,8 @@ func runFailoverCase(cat *schema.Catalog, stream []server.BatchPairJSON, chunk i
 	}
 	var steady [2]engine.StatsSnapshot
 	for i, s := range servers {
-		steady[i] = statsDelta(s.Engine().Stats(), before[i])
+		steady[i] = s.Engine().Stats()
+		steady[i].Sub(before[i])
 	}
 
 	// Kill the busier shard — the worse case for the successor. Steady
@@ -235,7 +224,8 @@ func runFailoverCase(cat *schema.Catalog, stream []server.BatchPairJSON, chunk i
 	if err != nil {
 		return c, "", fmt.Errorf("post-kill round: %w", err)
 	}
-	d := statsDelta(servers[survivor].Engine().Stats(), preKill)
+	d := servers[survivor].Engine().Stats()
+	d.Sub(preKill)
 
 	c.PostKillWallMS = ms(postWall)
 	if steadyWall > 0 {

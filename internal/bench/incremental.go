@@ -37,8 +37,8 @@ type IncrementalReport struct {
 	// Session bookkeeping from the incremental run: how many sessions the
 	// batch opened and how many suffix checks landed on an
 	// already-encoded prefix.
-	Sessions    int `json:"sessions"`
-	PrefixReuse int `json:"prefix_reuse"`
+	Sessions    int64 `json:"sessions"`
+	PrefixReuse int64 `json:"prefix_reuse"`
 }
 
 // chainPred builds the ordering chain c[order[0]] < c[order[1]] < … as a
@@ -156,7 +156,7 @@ func RunIncremental(seed int64, npairs, workers int) IncrementalReport {
 		res := testing.Benchmark(func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				var s engine.BatchStats
-				if _, s = engine.VerifyPlanBatch(pairs, opts); s.Pairs != len(pairs) {
+				if _, s = engine.VerifyPlanBatch(pairs, opts); s.Pairs != int64(len(pairs)) {
 					b.Fatalf("verified %d of %d pairs", s.Pairs, len(pairs))
 				}
 				stats = s
@@ -176,7 +176,7 @@ func RunIncremental(seed int64, npairs, workers int) IncrementalReport {
 	}
 	rep.IncrementalModelRoundsPerPair = perPair(incStats)
 	rep.OneShotModelRoundsPerPair = perPair(oneStats)
-	rep.ModelRoundReductionPct = reductionPct(int64(oneStats.ModelRounds), int64(incStats.ModelRounds))
+	rep.ModelRoundReductionPct = reductionPct(oneStats.ModelRounds, incStats.ModelRounds)
 	rep.IncrementalMSPerOp = float64(inc.NsPerOp()) / 1e6
 	rep.OneShotMSPerOp = float64(one.NsPerOp()) / 1e6
 	rep.TimeReductionPct = reductionPct(one.NsPerOp(), inc.NsPerOp())

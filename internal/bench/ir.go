@@ -49,7 +49,7 @@ func RunIR(w *corpus.Workload, workers int) IRReport {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				_, stats := engine.VerifyPlanBatch(pairs, opts)
-				if stats.Pairs != len(pairs) {
+				if stats.Pairs != int64(len(pairs)) {
 					b.Fatalf("verified %d of %d pairs", stats.Pairs, len(pairs))
 				}
 				if !disable {

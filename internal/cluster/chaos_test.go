@@ -92,7 +92,7 @@ func TestChaosShardKillMidBatch(t *testing.T) {
 			t.Fatalf("result %d on %q after b died", i, r.Shard)
 		}
 	}
-	if rt.failoversT.Value() == 0 {
+	if rt.failovers.Sum() == 0 {
 		t.Fatal("no failover recorded across a shard kill")
 	}
 	if rt.unplacedT.Value() != 0 {

@@ -24,16 +24,19 @@ import (
 // honoring Retry-After, fail dead shards' pairs over to the ring
 // successor, and reassemble verdicts in request order.
 //
-// Failure taxonomy, per sub-batch forward:
+// Failure taxonomy, per forward (forward implements it for both
+// endpoints):
 //
 //   - 200: verdicts placed at the pairs' original indices;
 //   - 503: the shard is alive but shedding — wait out its Retry-After
 //     (capped) and retry the SAME shard, bounded by MaxShedRetries, then
 //     fail over WITHOUT marking the shard down (admission pressure is not
 //     death);
-//   - transport error / unexpected status: the shard is presumed dead —
-//     mark it down (the prober re-adds it when it recovers) and fail the
-//     sub-batch over to the ring successors of its pairs;
+//   - any other 5xx (and, for a batch, any non-200): fail over without
+//     marking the shard down;
+//   - transport error, or a batch body that does not decode: the shard is
+//     presumed dead — mark it down (the prober re-adds it when it
+//     recovers) and fail over to the ring successors of its pairs;
 //   - ring exhausted: the leftover pairs degrade to not-proved with a
 //     cluster_unavailable reason. Degraded means degraded: the router can
 //     lose verdicts to total shard loss but can never invent one.
@@ -105,7 +108,7 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 
 	wall := time.Since(start)
 	resp := server.BatchResponse{Results: results, Stats: agg}
-	resp.Stats.Pairs = len(results)
+	resp.Stats.Pairs = int64(len(results))
 	resp.Stats.WallMS = float64(wall) / float64(time.Millisecond)
 	if wall > 0 {
 		resp.Stats.PairsPerSec = float64(len(results)) / wall.Seconds()
@@ -147,7 +150,10 @@ func mergeCancel(primary, secondary context.Context) (context.Context, context.C
 func (rt *Router) routeBatch(ctx context.Context, req server.BatchRequest, fps []uint64) ([]server.VerifyResponse, server.BatchStatsJSON, int) {
 	results := make([]server.VerifyResponse, len(req.Pairs))
 	placed := make([]bool, len(req.Pairs))
-	var agg server.BatchStatsJSON
+	var agg server.BatchStatsJSON // Pairs, WallMS and PairsPerSec are the caller's
+	// Each answering shard's latest engine state: a shard that answers
+	// twice (a failover round) counts once.
+	shardState := map[string]engine.StatsSnapshot{}
 
 	pending := make([]int, len(req.Pairs))
 	for i := range pending {
@@ -212,7 +218,6 @@ func (rt *Router) routeBatch(ctx context.Context, req server.BatchRequest, fps [
 				// successor is sound because verdicts are deterministic.
 				rt.failovers.Inc(oc.shard)
 				rt.failoverPairs.With(oc.shard).Add(int64(len(oc.idx)))
-				rt.failoversT.Inc()
 				excluded[oc.shard] = true
 				pending = append(pending, oc.idx...)
 				continue
@@ -221,8 +226,14 @@ func (rt *Router) routeBatch(ctx context.Context, req server.BatchRequest, fps [
 				results[i] = oc.resp.Results[k]
 				placed[i] = true
 			}
-			addBatchStats(&agg, oc.resp.Stats)
+			work, state := oc.resp.Stats.Split()
+			agg.Add(work)
+			shardState[oc.shard] = state
+			agg.Workers = max(agg.Workers, oc.resp.Stats.Workers)
 		}
+	}
+	for _, state := range shardState {
+		agg.Add(state)
 	}
 
 	unplaced := 0
@@ -240,78 +251,71 @@ func (rt *Router) routeBatch(ctx context.Context, req server.BatchRequest, fps [
 	return results, agg, unplaced
 }
 
-// addBatchStats folds one shard's sub-batch stats into the aggregate.
-// Pairs/WallMS/PairsPerSec are owned by the router (the sums would be
-// wrong: sub-batches overlap in time).
-func addBatchStats(agg *server.BatchStatsJSON, st server.BatchStatsJSON) {
-	if st.Workers > agg.Workers {
-		agg.Workers = st.Workers
-	}
-	agg.Equivalent += st.Equivalent
-	agg.NotProved += st.NotProved
-	agg.Unsupported += st.Unsupported
-	agg.Refuted += st.Refuted
-	agg.Deduped += st.Deduped
-	agg.Timeouts += st.Timeouts
-	agg.Cancelled += st.Cancelled
-	agg.Panics += st.Panics
-	agg.WatchdogAborts += st.WatchdogAborts
-	agg.ObligationHits += st.ObligationHits
-	agg.ObligationMisses += st.ObligationMisses
-}
-
-// forwardBatch sends one sub-batch to one shard, riding out 503s by
-// honoring the shard's Retry-After (capped) up to MaxShedRetries times.
-// Any other failure is returned to routeBatch for failover.
+// forwardBatch sends one sub-batch to one shard and decodes its answer.
+// Anything but a 200 fails over; a 200 whose body does not decode marks
+// the shard down.
 func (rt *Router) forwardBatch(ctx context.Context, shardID string, sub server.BatchRequest) (*server.BatchResponse, error) {
-	url := rt.shardURL(shardID)
-	if url == "" {
-		return nil, fmt.Errorf("cluster: unknown shard %q", shardID)
-	}
 	body, err := json.Marshal(sub)
 	if err != nil {
 		return nil, err
 	}
+	status, _, data, err := rt.forward(ctx, shardID, "/v1/verify/batch", body, len(sub.Pairs))
+	if err != nil {
+		return nil, err
+	}
+	if status != http.StatusOK {
+		return nil, fmt.Errorf("cluster: shard %s: unexpected status %d", shardID, status)
+	}
+	var br server.BatchResponse
+	if err := json.Unmarshal(data, &br); err != nil {
+		rt.markDown(shardID, "bad batch response: "+err.Error())
+		return nil, fmt.Errorf("cluster: shard %s: decoding batch response: %w", shardID, err)
+	}
+	return &br, nil
+}
+
+// forward is the one forward loop behind both endpoints: it POSTs body to
+// one shard, rides out 503s by honoring the shard's Retry-After (capped)
+// up to MaxShedRetries times, and returns the shard's definitive answer —
+// any status below 500, body read in full. A transport error, or a body
+// that cannot be read, marks the shard down; a 503 past the retries or any
+// other 5xx is returned as an error without marking it down. Every error
+// means the caller fails over.
+func (rt *Router) forward(ctx context.Context, shardID, path string, body []byte, pairs int) (int, http.Header, []byte, error) {
+	url := rt.shardURL(shardID)
+	if url == "" {
+		return 0, nil, nil, fmt.Errorf("cluster: unknown shard %q", shardID)
+	}
 	for retry := 0; ; retry++ {
 		rt.forwards.Inc(shardID)
-		rt.forwardsT.Inc()
-		rt.pairsRouted.With(shardID).Add(int64(len(sub.Pairs)))
-		resp, err := rt.post(ctx, url+"/v1/verify/batch", body)
+		rt.pairsRouted.With(shardID).Add(int64(pairs))
+		resp, err := rt.post(ctx, url+path, body)
 		if err != nil {
 			rt.markDown(shardID, err.Error())
-			return nil, err
+			return 0, nil, nil, err
 		}
-		switch resp.StatusCode {
-		case http.StatusOK:
-			var br server.BatchResponse
-			err := json.NewDecoder(resp.Body).Decode(&br)
-			resp.Body.Close()
-			if err != nil {
-				rt.markDown(shardID, "bad batch response: "+err.Error())
-				return nil, fmt.Errorf("cluster: shard %s: decoding batch response: %w", shardID, err)
-			}
-			return &br, nil
-		case http.StatusServiceUnavailable:
+		if resp.StatusCode == http.StatusServiceUnavailable && retry < rt.cfg.MaxShedRetries {
 			wait := retryAfterWait(resp, rt.cfg.RetryAfterCap)
 			io.Copy(io.Discard, resp.Body)
 			resp.Body.Close()
-			if retry >= rt.cfg.MaxShedRetries {
-				// Shedding is not death: fail over without touching the
-				// shard's membership.
-				return nil, fmt.Errorf("cluster: shard %s still shedding after %d retries", shardID, retry)
-			}
 			rt.shedRetries.Inc(shardID)
-			rt.retriesT.Inc()
 			select {
 			case <-time.After(wait):
 			case <-ctx.Done():
-				return nil, ctx.Err()
+				return 0, nil, nil, ctx.Err()
 			}
-		default:
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			return nil, fmt.Errorf("cluster: shard %s: unexpected status %d", shardID, resp.StatusCode)
+			continue
 		}
+		data, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			rt.markDown(shardID, err.Error())
+			return 0, nil, nil, err
+		}
+		if resp.StatusCode >= http.StatusInternalServerError {
+			return 0, nil, nil, fmt.Errorf("cluster: shard %s: status %d", shardID, resp.StatusCode)
+		}
+		return resp.StatusCode, resp.Header, data, nil
 	}
 }
 
@@ -391,15 +395,10 @@ func (rt *Router) handleVerify(w http.ResponseWriter, r *http.Request) {
 	// The owner first, then its ring successors: the failover order a
 	// mid-request shard death walks.
 	for _, shardID := range ring.Successors(fp, ring.Size()) {
-		url := rt.shardURL(shardID)
-		if url == "" {
-			continue
-		}
-		status, hdr, respBody, err := rt.forwardVerify(ctx, shardID, url, body)
+		status, hdr, respBody, err := rt.forward(ctx, shardID, "/v1/verify", body, 1)
 		if err != nil {
 			rt.failovers.Inc(shardID)
 			rt.failoverPairs.With(shardID).Add(1)
-			rt.failoversT.Inc()
 			continue
 		}
 		// Relay the shard's definitive answer byte for byte: the router
@@ -414,43 +413,4 @@ func (rt *Router) handleVerify(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Retry-After", "1")
 	writeError(w, http.StatusServiceUnavailable, "no_shards",
 		"no shard could take the request; retry later")
-}
-
-// forwardVerify sends one /v1/verify to one shard with the same 503
-// discipline as forwardBatch, returning the shard's definitive response
-// (any status < 500) for verbatim relay.
-func (rt *Router) forwardVerify(ctx context.Context, shardID, url string, body []byte) (int, http.Header, []byte, error) {
-	for retry := 0; ; retry++ {
-		rt.forwards.Inc(shardID)
-		rt.forwardsT.Inc()
-		rt.pairsRouted.Inc(shardID)
-		resp, err := rt.post(ctx, url+"/v1/verify", body)
-		if err != nil {
-			rt.markDown(shardID, err.Error())
-			return 0, nil, nil, err
-		}
-		if resp.StatusCode == http.StatusServiceUnavailable && retry < rt.cfg.MaxShedRetries {
-			wait := retryAfterWait(resp, rt.cfg.RetryAfterCap)
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			rt.shedRetries.Inc(shardID)
-			rt.retriesT.Inc()
-			select {
-			case <-time.After(wait):
-			case <-ctx.Done():
-				return 0, nil, nil, ctx.Err()
-			}
-			continue
-		}
-		respBody, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if err != nil {
-			rt.markDown(shardID, err.Error())
-			return 0, nil, nil, err
-		}
-		if resp.StatusCode >= http.StatusInternalServerError {
-			return 0, nil, nil, fmt.Errorf("cluster: shard %s: status %d", shardID, resp.StatusCode)
-		}
-		return resp.StatusCode, resp.Header, respBody, nil
-	}
 }

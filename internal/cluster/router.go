@@ -156,12 +156,9 @@ type Router struct {
 	shedRetries   *server.CounterVec // 503-and-wait retries by shard
 	failovers     *server.CounterVec // sub-batches failed over, by the shard they left
 	failoverPairs *server.CounterVec // pairs re-routed off a failed shard, by that shard
-	forwardsT     *server.Counter
-	retriesT      *server.Counter
-	failoversT    *server.Counter
-	unplacedT     *server.Counter // pairs no live shard could take (degraded verdicts)
-	probeFlips    *server.Counter // membership changes observed by the prober
-	reprobes      *server.Counter // re-admission probes of down shards
+	unplacedT     *server.Counter    // pairs no live shard could take (degraded verdicts)
+	probeFlips    *server.Counter    // membership changes observed by the prober
+	reprobes      *server.Counter    // re-admission probes of down shards
 
 	draining   atomic.Bool
 	baseCtx    context.Context
@@ -252,12 +249,14 @@ func (rt *Router) registerMetrics() {
 		"Sub-batches failed over to a ring successor, by the shard that failed.", "shard")
 	rt.failoverPairs = r.NewCounterVec("spes_router_failover_pairs_total",
 		"Pairs re-routed to ring inheritors, by the shard whose failure moved them.", "shard")
-	rt.forwardsT = r.NewCounter("spes_router_forward_attempts_total",
-		"Total sub-batch forward attempts across all shards.")
-	rt.retriesT = r.NewCounter("spes_router_shed_retry_attempts_total",
-		"Total 503-and-wait retries across all shards.")
-	rt.failoversT = r.NewCounter("spes_router_failover_events_total",
-		"Total failover events (a sub-batch moving to a ring successor).")
+	// The cross-shard totals are sums of the per-shard vectors, so they can
+	// never disagree with them.
+	r.NewIntFunc("spes_router_forward_attempts_total",
+		"Total sub-batch forward attempts across all shards.", rt.forwards.Sum)
+	r.NewIntFunc("spes_router_shed_retry_attempts_total",
+		"Total 503-and-wait retries across all shards.", rt.shedRetries.Sum)
+	r.NewIntFunc("spes_router_failover_events_total",
+		"Total failover events (a sub-batch moving to a ring successor).", rt.failovers.Sum)
 	rt.unplacedT = r.NewCounter("spes_router_unplaced_pairs_total",
 		"Pairs no live shard could verify; degraded to not-proved, never fabricated.")
 	rt.probeFlips = r.NewCounter("spes_router_membership_changes_total",
@@ -651,20 +650,11 @@ type ShardStats struct {
 	Engine *engine.StatsSnapshot `json:"engine,omitempty"`
 }
 
-// ShardStatsTotals sums the reachable shards' engine counters.
+// ShardStatsTotals sums the reachable shards' engine snapshots.
 type ShardStatsTotals struct {
+	engine.StatsSnapshot
 	Shards            int     `json:"shards_reporting"`
-	Pairs             int64   `json:"pairs"`
-	Equivalent        int64   `json:"equivalent"`
-	NotProved         int64   `json:"not_proved"`
-	Unsupported       int64   `json:"unsupported"`
-	Refuted           int64   `json:"refuted"`
-	SolverQueries     int64   `json:"solver_queries"`
-	ObligationHits    int64   `json:"obligation_hits"`
-	ObligationMisses  int64   `json:"obligation_misses"`
 	ObligationHitRate float64 `json:"obligation_hit_rate"`
-	StoreHits         int64   `json:"store_hits"`
-	TermNodes         int64   `json:"term_nodes"`
 }
 
 // RouterStatCounters is the router's own traffic view.
@@ -705,26 +695,15 @@ func (rt *Router) handleClusterStats(w http.ResponseWriter, r *http.Request) {
 			}
 			out.Shards[i].Engine, out.Shards[i].Uptime = snap, uptime
 			out.Totals.Shards++
-			out.Totals.Pairs += snap.Pairs
-			out.Totals.Equivalent += snap.Equivalent
-			out.Totals.NotProved += snap.NotProved
-			out.Totals.Unsupported += snap.Unsupported
-			out.Totals.Refuted += snap.Refuted
-			out.Totals.SolverQueries += snap.SolverQueries
-			out.Totals.ObligationHits += snap.ObligationHits
-			out.Totals.ObligationMisses += snap.ObligationMisses
-			out.Totals.StoreHits += snap.StoreHits
-			out.Totals.TermNodes += snap.TermNodes
+			out.Totals.Add(*snap)
 		}(i, ss)
 	}
 	wg.Wait()
-	if t := out.Totals.ObligationHits + out.Totals.ObligationMisses; t > 0 {
-		out.Totals.ObligationHitRate = float64(out.Totals.ObligationHits) / float64(t)
-	}
+	out.Totals.ObligationHitRate = out.Totals.StatsSnapshot.ObligationHitRate()
 	out.Router = RouterStatCounters{
-		ForwardAttempts: rt.forwardsT.Value(),
-		ShedRetries:     rt.retriesT.Value(),
-		Failovers:       rt.failoversT.Value(),
+		ForwardAttempts: rt.forwards.Sum(),
+		ShedRetries:     rt.shedRetries.Sum(),
+		Failovers:       rt.failovers.Sum(),
 		UnplacedPairs:   rt.unplacedT.Value(),
 	}
 	writeJSON(w, http.StatusOK, out)

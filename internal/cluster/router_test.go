@@ -272,7 +272,7 @@ func TestRouterHonorsRetryAfter(t *testing.T) {
 	if got := time.Duration(gap.Load()); got < capMS*time.Millisecond {
 		t.Fatalf("router retried after %v; must honor Retry-After up to the %dms cap", got, capMS)
 	}
-	if rt.retriesT.Value() == 0 {
+	if rt.shedRetries.Sum() == 0 {
 		t.Fatal("shed retry not counted in metrics")
 	}
 }
@@ -308,7 +308,7 @@ func TestRouterShedFailsOverAfterBoundedRetries(t *testing.T) {
 			t.Fatalf("result %d verified on %q; everything must have failed over to b", i, r.Shard)
 		}
 	}
-	if rt.failoversT.Value() == 0 {
+	if rt.failovers.Sum() == 0 {
 		t.Fatal("failover not counted")
 	}
 	// Shedding is admission pressure, not death: the shard must still be
@@ -354,11 +354,24 @@ func TestRouterFailoverOnDeadShard(t *testing.T) {
 			t.Fatalf("result %d on %q; the survivor must own everything", i, r.Shard)
 		}
 	}
-	if rt.failoversT.Value() == 0 {
+	if rt.failovers.Sum() == 0 {
 		t.Fatal("failover not counted")
 	}
 	if ring := rt.ringSnapshot(); ring.Size() != 1 {
 		t.Fatalf("ring size %d after a transport failure; dead shard must leave", ring.Size())
+	}
+	// The survivor answered twice (its own pairs, then b's); its engine
+	// state must count once in the routed stats, its work twice.
+	if n := rt.forwards.With("a").Load(); n != 2 {
+		t.Fatalf("survivor got %d forwards; the test needs 2", n)
+	}
+	st := a.srv.Stats()
+	if got.Stats.TermNodes != st.TermNodes || got.Stats.InternerEpochs != st.InternerEpochs {
+		t.Errorf("routed term_nodes/interner_epochs = %d/%d; the survivor reports %d/%d",
+			got.Stats.TermNodes, got.Stats.InternerEpochs, st.TermNodes, st.InternerEpochs)
+	}
+	if got.Stats.Pairs != 24 || got.Stats.Equivalent+got.Stats.NotProved+got.Stats.Unsupported+got.Stats.Refuted != 24 {
+		t.Errorf("routed stats count %d pairs, verdicts %+v; want 24", got.Stats.Pairs, got.Stats.StatsSnapshot)
 	}
 }
 

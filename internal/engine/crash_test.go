@@ -118,7 +118,7 @@ func TestWorkerSpawnPanicRecovered(t *testing.T) {
 			t.Errorf("pair %d proved Equivalent though no worker ever spawned: %+v", i, r)
 		}
 	}
-	if stats.Panics != len(pairs) {
+	if stats.Panics != int64(len(pairs)) {
 		t.Errorf("stats.Panics = %d, want %d (every index hit the spawn fault)", stats.Panics, len(pairs))
 	}
 }

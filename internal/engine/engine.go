@@ -226,77 +226,6 @@ type Result struct {
 	Fingerprint uint64
 }
 
-// BatchStats aggregates a batch run.
-type BatchStats struct {
-	Pairs   int
-	Workers int
-	Wall    time.Duration
-
-	// Verdict counts.
-	Equivalent  int
-	NotProved   int
-	Unsupported int
-	Refuted     int
-
-	Deduped        int
-	Timeouts       int
-	Cancelled      int
-	Panics         int
-	WatchdogAborts int
-
-	NormHits   int64
-	NormMisses int64
-
-	ObligationHits   int64
-	ObligationMisses int64
-
-	SolverQueries int
-
-	// SolverSessions counts incremental sessions opened; PrefixReuse counts
-	// obligation checks that reused an already-encoded session prefix;
-	// ModelRounds counts propositional models examined across the batch.
-	SolverSessions int
-	PrefixReuse    int
-	ModelRounds    int
-
-	// TermNodes is the size of the shared hash-consed term DAG when the
-	// batch finished (0 when interning is disabled). With rotation enabled
-	// this is the CURRENT epoch's node count — the number the process's
-	// live term memory is proportional to — not a lifetime total.
-	TermNodes int64
-	// InternerEpochs counts interner epochs opened over the engine's
-	// lifetime (1 for an interning run that never rotated; 0 with
-	// interning disabled).
-	InternerEpochs int64
-	// StoreHits / StoreMisses count obligations answered by (or absent
-	// from) the durable verdict store.
-	StoreHits   int64
-	StoreMisses int64
-	// WitnessHits counts refutations answered by a stored (possibly
-	// replicated) witness that replayed, instead of a fresh search.
-	WitnessHits int64
-	// SessionEvictions counts solver sessions dropped from verifier LRU
-	// tables, including rotation drains.
-	SessionEvictions int64
-}
-
-// PairsPerSec returns batch throughput.
-func (s BatchStats) PairsPerSec() float64 {
-	if s.Wall <= 0 {
-		return 0
-	}
-	return float64(s.Pairs) / s.Wall.Seconds()
-}
-
-// ObligationHitRate returns the obligation-cache hit fraction in [0,1].
-func (s BatchStats) ObligationHitRate() float64 {
-	total := s.ObligationHits + s.ObligationMisses
-	if total == 0 {
-		return 0
-	}
-	return float64(s.ObligationHits) / float64(total)
-}
-
 // normMemoMax bounds the normalization memo: when the entry count reaches
 // it the memo resets wholesale (generation eviction). Batches rarely come
 // near it, but a long-running server engine would otherwise grow without
@@ -399,9 +328,12 @@ type Shared struct {
 	// long-lived engine's totals as well as its own.
 	parent *Shared
 
-	// ctr accumulates live counters on the hot path (atomics, so Snapshot
-	// never sees a torn read even while workers are mid-batch).
-	ctr counters
+	// statsMu guards stats, the live per-pair counters: record adds each
+	// result under it and Snapshot copies it, so a snapshot never tears.
+	statsMu sync.Mutex
+	stats   StatsSnapshot
+	// rotations counts interner epoch rotations (on the root only).
+	rotations atomic.Int64
 
 	// keyMu/keys memoize canonical serializations by node pointer: callers
 	// that verify one plan in many pairs (hot queries, shared builds) pass
@@ -480,7 +412,7 @@ func (s *Shared) maybeRotate() {
 	}
 	s.in.Store(fol.NewInterner())
 	cur.Retire()
-	s.ctr.epochs.Add(1)
+	s.rotations.Add(1)
 }
 
 // satTableMax bounds the predicate-satisfiability cache the same way
@@ -511,57 +443,13 @@ func (t *satTable) Store(key string, sat bool) {
 	t.m[key] = sat
 }
 
-// counters is the always-on atomic counter block behind Snapshot.
-type counters struct {
-	pairs, equivalent, notProved, unsupported atomic.Int64
-	refuted                                   atomic.Int64
-	deduped, timeouts, cancelled              atomic.Int64
-	panics, watchdogAborts                    atomic.Int64
-	solverQueries                             atomic.Int64
-	solverSessions, prefixReuse, modelRounds  atomic.Int64
-	storeHits, storeMisses, sessionEvicts     atomic.Int64
-	witnessHits                               atomic.Int64
-	epochs                                    atomic.Int64 // rotations; meaningful on the root only
-}
-
 // record folds one completed result into the live counters (and the
 // parent's, for batch overlays). Every pair outcome — verified, deduped,
 // cancelled, or failed to build — is recorded exactly once.
 func (s *Shared) record(r Result) {
-	s.ctr.pairs.Add(1)
-	switch r.Verdict {
-	case Equivalent:
-		s.ctr.equivalent.Add(1)
-	case Unsupported:
-		s.ctr.unsupported.Add(1)
-	case Refuted:
-		s.ctr.refuted.Add(1)
-	default:
-		s.ctr.notProved.Add(1)
-	}
-	if r.Deduped {
-		s.ctr.deduped.Add(1)
-	}
-	if r.TimedOut {
-		s.ctr.timeouts.Add(1)
-	}
-	if r.Cancelled {
-		s.ctr.cancelled.Add(1)
-	}
-	if r.Panicked {
-		s.ctr.panics.Add(1)
-	}
-	if r.WatchdogAbort {
-		s.ctr.watchdogAborts.Add(1)
-	}
-	s.ctr.solverQueries.Add(int64(r.Stats.SolverQueries))
-	s.ctr.solverSessions.Add(int64(r.Stats.SolverSessions))
-	s.ctr.prefixReuse.Add(int64(r.Stats.PrefixReuse))
-	s.ctr.modelRounds.Add(int64(r.Stats.ModelRounds))
-	s.ctr.storeHits.Add(int64(r.Stats.StoreHits))
-	s.ctr.storeMisses.Add(int64(r.Stats.StoreMisses))
-	s.ctr.witnessHits.Add(int64(r.Stats.WitnessHits))
-	s.ctr.sessionEvicts.Add(int64(r.Stats.SessionEvicts))
+	s.statsMu.Lock()
+	s.stats.addResult(r)
+	s.statsMu.Unlock()
 	if s.parent != nil {
 		s.parent.record(r)
 		return
@@ -571,101 +459,15 @@ func (s *Shared) record(r Result) {
 	s.maybeRotate()
 }
 
-// StatsSnapshot is a consistent point-in-time view of an engine's
-// counters, safe to take from any goroutine while verifications are in
-// flight: every field is read from an atomic or under the owning mutex, so
-// `-race` sees no torn reads. The memo counters (norm, obligation) are
-// lifetime counts of the underlying tables.
-type StatsSnapshot struct {
-	Pairs       int64 `json:"pairs"`
-	Equivalent  int64 `json:"equivalent"`
-	NotProved   int64 `json:"not_proved"`
-	Unsupported int64 `json:"unsupported"`
-	// Refuted counts pairs the refutation pass proved inequivalent with an
-	// execution-confirmed witness (0 unless Options.RefuteBudget > 0).
-	Refuted   int64 `json:"refuted"`
-	Deduped   int64 `json:"deduped"`
-	Timeouts  int64 `json:"timeouts"`
-	Cancelled int64 `json:"cancelled"`
-
-	// Panics counts verifications that panicked and were recovered into
-	// NotProved internal-error verdicts; WatchdogAborts counts
-	// verifications abandoned past deadline-plus-grace. Both are
-	// robustness events: the process survived, the verdicts degraded.
-	Panics         int64 `json:"panics"`
-	WatchdogAborts int64 `json:"watchdog_aborts"`
-
-	SolverQueries int64 `json:"solver_queries"`
-
-	// SolverSessions counts incremental sessions opened across all
-	// verifications; PrefixReuse counts obligation checks that reused an
-	// already-encoded session prefix instead of re-encoding it;
-	// ModelRounds counts propositional models the solvers examined — the
-	// work the incremental path exists to cut.
-	SolverSessions int64 `json:"solver_sessions"`
-	PrefixReuse    int64 `json:"prefix_reuse"`
-	ModelRounds    int64 `json:"model_rounds"`
-
-	// TermNodes is the size of the shared term DAG (distinct interned
-	// nodes) in the CURRENT interner epoch — the number the process's live
-	// term memory is proportional to; 0 when interning is disabled.
-	// InternerEpochs counts epochs opened (1 until the first rotation; 0
-	// with interning disabled), so epoch-aware dashboards can tell "the
-	// gauge fell because we rotated" from "the workload shrank".
-	TermNodes      int64 `json:"term_nodes"`
-	InternerEpochs int64 `json:"interner_epochs"`
-
-	// StoreHits / StoreMisses count obligations answered by (or absent
-	// from) the durable verdict store; SessionEvictions counts solver
-	// sessions dropped from verifier LRU tables (including rotation
-	// drains).
-	StoreHits        int64 `json:"store_hits"`
-	StoreMisses      int64 `json:"store_misses"`
-	SessionEvictions int64 `json:"session_evictions"`
-	// WitnessHits counts refutations answered by a stored witness that
-	// replayed successfully — including witnesses that arrived via
-	// replication — instead of a fresh counterexample search.
-	WitnessHits int64 `json:"witness_hits"`
-
-	NormHits         int64 `json:"norm_hits"`
-	NormMisses       int64 `json:"norm_misses"`
-	ObligationHits   int64 `json:"obligation_hits"`
-	ObligationMisses int64 `json:"obligation_misses"`
-}
-
-// ObligationHitRate returns the obligation-cache hit fraction in [0,1].
-func (s StatsSnapshot) ObligationHitRate() float64 {
-	total := s.ObligationHits + s.ObligationMisses
-	if total == 0 {
-		return 0
-	}
-	return float64(s.ObligationHits) / float64(total)
-}
-
-// Snapshot returns the current counters. Concurrency-safe; the batch
-// entry points also use it, so BatchStats and a live Snapshot can never
-// disagree about what the hot path counted.
+// Snapshot returns the current counters. Concurrency-safe and consistent:
+// the per-pair counters are copied under the same mutex record adds under,
+// so the verdict counts always sum to Pairs. The batch entry points also
+// use it, so BatchStats and a live Snapshot can never disagree about what
+// the hot path counted.
 func (s *Shared) Snapshot() StatsSnapshot {
-	snap := StatsSnapshot{
-		Pairs:          s.ctr.pairs.Load(),
-		Equivalent:     s.ctr.equivalent.Load(),
-		NotProved:      s.ctr.notProved.Load(),
-		Unsupported:    s.ctr.unsupported.Load(),
-		Refuted:        s.ctr.refuted.Load(),
-		Deduped:        s.ctr.deduped.Load(),
-		Timeouts:       s.ctr.timeouts.Load(),
-		Cancelled:      s.ctr.cancelled.Load(),
-		Panics:         s.ctr.panics.Load(),
-		WatchdogAborts: s.ctr.watchdogAborts.Load(),
-		SolverQueries:  s.ctr.solverQueries.Load(),
-		SolverSessions: s.ctr.solverSessions.Load(),
-		PrefixReuse:    s.ctr.prefixReuse.Load(),
-		ModelRounds:    s.ctr.modelRounds.Load(),
-	}
-	snap.StoreHits = s.ctr.storeHits.Load()
-	snap.StoreMisses = s.ctr.storeMisses.Load()
-	snap.SessionEvictions = s.ctr.sessionEvicts.Load()
-	snap.WitnessHits = s.ctr.witnessHits.Load()
+	s.statsMu.Lock()
+	snap := s.stats
+	s.statsMu.Unlock()
 	if s.norm != nil {
 		snap.NormHits, snap.NormMisses = s.norm.counters()
 	}
@@ -674,7 +476,7 @@ func (s *Shared) Snapshot() StatsSnapshot {
 	}
 	if in := s.interner(); in != nil {
 		snap.TermNodes = int64(in.Len())
-		snap.InternerEpochs = 1 + s.root().ctr.epochs.Load()
+		snap.InternerEpochs = 1 + s.root().rotations.Load()
 	}
 	return snap
 }
@@ -751,15 +553,6 @@ func (s *Shared) keyOf(n plan.Node) string {
 	s.keys[n] = k
 	s.keyMu.Unlock()
 	return k
-}
-
-// CacheCounters returns the obligation cache's lifetime hit/miss counts
-// (zero when the cache is disabled).
-func (s *Shared) CacheCounters() (hits, misses int64) {
-	if s.cache == nil {
-		return 0, 0
-	}
-	return s.cache.Counters()
 }
 
 // ForEach fans indices [0, n) across the worker pool. Each goroutine gets
@@ -1250,39 +1043,8 @@ func VerifyPlanBatchContext(ctx context.Context, pairs []PlanPair, opts Options)
 	return results, s.aggregate(wall)
 }
 
-// aggregate folds the live Snapshot into BatchStats. Because every worker
-// entry point records through the same atomic counters Snapshot reads,
-// BatchStats is by construction consistent with what Stats()/Snapshot()
-// reported while the batch ran — there is no second, unsynchronized
-// tally to disagree with.
+// aggregate folds the live Snapshot into BatchStats, so BatchStats is by
+// construction consistent with what Snapshot reported while the batch ran.
 func (s *Shared) aggregate(wall time.Duration) BatchStats {
-	snap := s.Snapshot()
-	return BatchStats{
-		Pairs:            int(snap.Pairs),
-		Workers:          s.opts.workerCount(),
-		Wall:             wall,
-		Equivalent:       int(snap.Equivalent),
-		NotProved:        int(snap.NotProved),
-		Unsupported:      int(snap.Unsupported),
-		Refuted:          int(snap.Refuted),
-		Deduped:          int(snap.Deduped),
-		Timeouts:         int(snap.Timeouts),
-		Cancelled:        int(snap.Cancelled),
-		Panics:           int(snap.Panics),
-		WatchdogAborts:   int(snap.WatchdogAborts),
-		NormHits:         snap.NormHits,
-		NormMisses:       snap.NormMisses,
-		ObligationHits:   snap.ObligationHits,
-		ObligationMisses: snap.ObligationMisses,
-		SolverQueries:    int(snap.SolverQueries),
-		SolverSessions:   int(snap.SolverSessions),
-		PrefixReuse:      int(snap.PrefixReuse),
-		ModelRounds:      int(snap.ModelRounds),
-		TermNodes:        snap.TermNodes,
-		InternerEpochs:   snap.InternerEpochs,
-		StoreHits:        snap.StoreHits,
-		StoreMisses:      snap.StoreMisses,
-		WitnessHits:      snap.WitnessHits,
-		SessionEvictions: snap.SessionEvictions,
-	}
+	return BatchStats{StatsSnapshot: s.Snapshot(), Workers: s.opts.workerCount(), Wall: wall}
 }

@@ -32,7 +32,7 @@ func TestDeterminismAcrossWorkerCounts(t *testing.T) {
 	pairs := calcitePairs()
 
 	base, baseStats := VerifyBatch(cat, pairs, Options{Workers: 1})
-	if baseStats.Pairs != len(pairs) {
+	if baseStats.Pairs != int64(len(pairs)) {
 		t.Fatalf("stats.Pairs = %d, want %d", baseStats.Pairs, len(pairs))
 	}
 	if baseStats.Equivalent == 0 {

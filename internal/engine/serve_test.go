@@ -104,7 +104,7 @@ func TestSnapshotConsistentUnderLoad(t *testing.T) {
 				default:
 				}
 				st := e.Stats()
-				if st.Equivalent+st.NotProved+st.Unsupported != st.Pairs {
+				if st.Equivalent+st.NotProved+st.Unsupported+st.Refuted != st.Pairs {
 					t.Errorf("torn snapshot: %+v", st)
 					return
 				}
@@ -119,14 +119,14 @@ func TestSnapshotConsistentUnderLoad(t *testing.T) {
 	if len(results) != len(pairs) {
 		t.Fatalf("got %d results, want %d", len(results), len(pairs))
 	}
-	if stats.Pairs != len(pairs) {
+	if stats.Pairs != int64(len(pairs)) {
 		t.Errorf("stats.Pairs = %d, want %d", stats.Pairs, len(pairs))
 	}
 	st := e.Stats()
 	if st.Pairs != int64(len(pairs)) {
 		t.Errorf("engine lifetime pairs = %d, want %d", st.Pairs, len(pairs))
 	}
-	if st.Equivalent != int64(stats.Equivalent) || st.NotProved != int64(stats.NotProved) {
+	if st.Equivalent != stats.Equivalent || st.NotProved != stats.NotProved || st.Refuted != stats.Refuted {
 		t.Errorf("snapshot %+v disagrees with batch stats %+v", st, stats)
 	}
 }

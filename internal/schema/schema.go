@@ -82,10 +82,10 @@ type ForeignKey struct {
 
 // Table describes a base table.
 type Table struct {
-	Name       string
-	Columns    []Column
-	PrimaryKey []string     // column names; empty means no key declared
-	Unique     [][]string   // declared UNIQUE keys, each a column-name set
+	Name        string
+	Columns     []Column
+	PrimaryKey  []string   // column names; empty means no key declared
+	Unique      [][]string // declared UNIQUE keys, each a column-name set
 	ForeignKeys []ForeignKey
 }
 

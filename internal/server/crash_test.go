@@ -195,6 +195,11 @@ func TestHandlerPanicReturns500(t *testing.T) {
 	if got := s.srvPanics.Load(); got != 1 {
 		t.Errorf("srvPanics = %d, want 1", got)
 	}
+	// /v1/stats reports the same panics count /metrics does.
+	stats := decode[StatsResponse](t, doReq(s.Handler(), httptest.NewRequest(http.MethodGet, "/v1/stats", nil)))
+	if stats.Engine.Panics != 1 {
+		t.Errorf("/v1/stats panics = %d, want 1 (handler panics fold into the snapshot)", stats.Engine.Panics)
+	}
 	if got := s.latency.Count(); got != 1 {
 		t.Errorf("latency observations = %d, want 1 (panicked requests must still be measured)", got)
 	}

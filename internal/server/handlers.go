@@ -10,6 +10,7 @@ import (
 	"spes/internal/engine"
 	"spes/internal/plan"
 	"spes/internal/refute"
+	"spes/internal/store"
 	"spes/internal/verify"
 )
 
@@ -53,26 +54,8 @@ type VerifyResponse struct {
 	Stats   *StatsJSON      `json:"stats,omitempty"`
 }
 
-// StatsJSON mirrors verify.Stats for the wire.
-type StatsJSON struct {
-	SolverQueries  int `json:"solver_queries"`
-	VeriCardCalls  int `json:"vericard_calls"`
-	Candidates     int `json:"candidates"`
-	ModelRounds    int `json:"model_rounds"`
-	ObligationHits int `json:"obligation_hits"`
-	ObligationMiss int `json:"obligation_misses"`
-}
-
-func statsJSON(st verify.Stats) *StatsJSON {
-	return &StatsJSON{
-		SolverQueries:  st.SolverQueries,
-		VeriCardCalls:  st.VeriCardCalls,
-		Candidates:     st.Candidates,
-		ModelRounds:    st.ModelRounds,
-		ObligationHits: st.ObligationHits,
-		ObligationMiss: st.ObligationMiss,
-	}
-}
+// StatsJSON is a verify response's per-pair work record.
+type StatsJSON = verify.Stats
 
 // BatchRequest is the body of POST /v1/verify/batch.
 type BatchRequest struct {
@@ -96,23 +79,13 @@ type BatchResponse struct {
 	Stats   BatchStatsJSON   `json:"stats"`
 }
 
-// BatchStatsJSON summarizes a batch request.
+// BatchStatsJSON summarizes a batch request: the batch's engine counters
+// plus its pool size, wall time and throughput.
 type BatchStatsJSON struct {
-	Pairs            int     `json:"pairs"`
-	Workers          int     `json:"workers"`
-	WallMS           float64 `json:"wall_ms"`
-	PairsPerSec      float64 `json:"pairs_per_sec"`
-	Equivalent       int     `json:"equivalent"`
-	NotProved        int     `json:"not_proved"`
-	Unsupported      int     `json:"unsupported"`
-	Refuted          int     `json:"refuted"`
-	Deduped          int     `json:"deduped"`
-	Timeouts         int     `json:"timeouts"`
-	Cancelled        int     `json:"cancelled"`
-	Panics           int     `json:"panics,omitempty"`
-	WatchdogAborts   int     `json:"watchdog_aborts,omitempty"`
-	ObligationHits   int64   `json:"obligation_hits"`
-	ObligationMisses int64   `json:"obligation_misses"`
+	engine.StatsSnapshot
+	Workers     int     `json:"workers"`
+	WallMS      float64 `json:"wall_ms"`
+	PairsPerSec float64 `json:"pairs_per_sec"`
 }
 
 // StatsResponse is the body of GET /v1/stats: the engine's lifetime
@@ -126,17 +99,10 @@ type StatsResponse struct {
 	UptimeS          float64              `json:"uptime_s"`
 	Draining         bool                 `json:"draining,omitempty"`
 	Engine           engine.StatsSnapshot `json:"engine"`
-	Store            *StoreStatsJSON      `json:"store,omitempty"`
+	Store            *store.Stats         `json:"store,omitempty"`
 	// Replication, when this shard tails peers, reports each origin's tail
 	// position, lag, and apply counters.
 	Replication []ReplicationOriginJSON `json:"replication,omitempty"`
-}
-
-// StoreStatsJSON summarizes the durable store for /v1/stats.
-type StoreStatsJSON struct {
-	Records int64 `json:"records"`
-	Bytes   int64 `json:"bytes"`
-	Appends int64 `json:"appends"`
 }
 
 // ErrorResponse is the body of every non-2xx JSON response.
@@ -254,7 +220,7 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 		Aborted:          res.WatchdogAbort,
 		ElapsedMS:        msSince(start),
 		Witness:          res.Witness,
-		Stats:            statsJSON(res.Stats),
+		Stats:            &res.Stats,
 	})
 }
 
@@ -294,21 +260,10 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	resp := BatchResponse{
 		Results: make([]VerifyResponse, len(results)),
 		Stats: BatchStatsJSON{
-			Pairs:            stats.Pairs,
-			Workers:          stats.Workers,
-			WallMS:           ms(stats.Wall),
-			PairsPerSec:      stats.PairsPerSec(),
-			Equivalent:       stats.Equivalent,
-			NotProved:        stats.NotProved,
-			Unsupported:      stats.Unsupported,
-			Refuted:          stats.Refuted,
-			Deduped:          stats.Deduped,
-			Timeouts:         stats.Timeouts,
-			Cancelled:        stats.Cancelled,
-			Panics:           stats.Panics,
-			WatchdogAborts:   stats.WatchdogAborts,
-			ObligationHits:   stats.ObligationHits,
-			ObligationMisses: stats.ObligationMisses,
+			StatsSnapshot: stats.StatsSnapshot,
+			Workers:       stats.Workers,
+			WallMS:        ms(stats.Wall),
+			PairsPerSec:   stats.PairsPerSec(),
 		},
 	}
 	for i, res := range results {

@@ -7,12 +7,13 @@ import (
 	"math"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 )
 
 // This file is a hand-rolled, dependency-free subset of a Prometheus
-// client: counters, labeled counters, function-backed gauges/counters, and
+// client: counters, labeled counters and gauges, function-backed series, and
 // a cumulative histogram, rendered in the text exposition format (version
 // 0.0.4) that any Prometheus scraper ingests. The repo's no-new-deps rule
 // is why it exists; the subset is exactly what /metrics needs.
@@ -115,6 +116,17 @@ func (c *CounterVec) With(values ...string) *atomic.Int64 {
 // Inc increments the child for the given label values.
 func (c *CounterVec) Inc(values ...string) { c.With(values...).Add(1) }
 
+// Sum returns the total over every child.
+func (c *CounterVec) Sum() int64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	var n int64
+	for _, child := range c.children {
+		n += child.Load()
+	}
+	return n
+}
+
 func (c *CounterVec) render(w io.Writer) {
 	writeHeader(w, c.name, c.help, "counter")
 	c.mu.Lock()
@@ -196,28 +208,47 @@ func labelPairs(labels, values []string) string {
 	return out
 }
 
-// FuncMetric reads its value at scrape time — used for gauges backed by
-// live state (queue depth, in-flight) and for counters owned elsewhere
-// (the engine's snapshot counters).
+// FuncMetric is a float gauge read at scrape time — used for live state
+// (queue depth, in-flight) and derived ratios.
 type FuncMetric struct {
-	name, help, typ string
-	fn              func() float64
+	name, help string
+	fn         func() float64
 }
 
 // NewGaugeFunc registers a function-backed gauge.
 func (r *Registry) NewGaugeFunc(name, help string, fn func() float64) {
-	r.add(&FuncMetric{name: name, help: help, typ: "gauge", fn: fn})
-}
-
-// NewCounterFunc registers a function-backed counter (the function must be
-// monotone; the engine's snapshot counters are).
-func (r *Registry) NewCounterFunc(name, help string, fn func() float64) {
-	r.add(&FuncMetric{name: name, help: help, typ: "counter", fn: fn})
+	r.add(&FuncMetric{name: name, help: help, fn: fn})
 }
 
 func (f *FuncMetric) render(w io.Writer) {
-	writeHeader(w, f.name, f.help, f.typ)
+	writeHeader(w, f.name, f.help, "gauge")
 	fmt.Fprintf(w, "%s %s\n", f.name, formatFloat(f.fn()))
+}
+
+// intFunc is an integer series read at scrape time.
+type intFunc struct {
+	name, help string
+	fn         func() int64
+}
+
+// NewIntFunc registers an integer series read at scrape time, for counts
+// owned elsewhere (the durable store's, the router's per-shard sums). Its
+// type follows the Prometheus naming convention: a name ending in _total
+// is a counter (fn must then be monotone), any other name a gauge.
+func (r *Registry) NewIntFunc(name, help string, fn func() int64) {
+	r.add(&intFunc{name: name, help: help, fn: fn})
+}
+
+func (f *intFunc) render(w io.Writer) { writeInt(w, f.name, f.help, f.fn()) }
+
+// writeInt renders one unlabeled integer series, typed by its name.
+func writeInt(w io.Writer, name, help string, v int64) {
+	typ := "gauge"
+	if strings.HasSuffix(name, "_total") {
+		typ = "counter"
+	}
+	writeHeader(w, name, help, typ)
+	fmt.Fprintf(w, "%s %d\n", name, v)
 }
 
 // Histogram is a cumulative histogram with fixed upper bounds.

@@ -27,6 +27,7 @@ package server
 
 import (
 	"context"
+	"io"
 	"net"
 	"net/http"
 	"runtime"
@@ -168,8 +169,8 @@ type Server struct {
 	replLag        *GaugeVec
 	replPos        *GaugeVec
 	// srvPanics counts panics that escaped a handler and were recovered by
-	// instrument (engine-level panics are recovered lower down and counted
-	// in the engine's stats; /metrics sums both).
+	// instrument or the coalescer (engine-level panics are recovered lower
+	// down and counted in the engine's stats; Stats sums both).
 	srvPanics atomic.Int64
 
 	// verifyPlans is the engine call behind /v1/verify; tests substitute
@@ -268,88 +269,24 @@ func (s *Server) registerMetrics() {
 		"Seconds since the server started.",
 		func() float64 { return time.Since(s.start).Seconds() })
 
-	// Engine counters are owned by the engine's snapshot-consistent Stats;
-	// /metrics reads them at scrape time.
-	stat := func(get func(engine.StatsSnapshot) int64) func() float64 {
-		return func() float64 { return float64(get(s.eng.Stats())) }
-	}
-	r.NewCounterFunc("spes_engine_pairs_total",
-		"Pairs verified by the engine (lifetime).",
-		stat(func(st engine.StatsSnapshot) int64 { return st.Pairs }))
-	r.NewCounterFunc("spes_engine_equivalent_total",
-		"Pairs proved equivalent (lifetime).",
-		stat(func(st engine.StatsSnapshot) int64 { return st.Equivalent }))
-	r.NewCounterFunc("spes_engine_not_proved_total",
-		"Pairs not proved (lifetime).",
-		stat(func(st engine.StatsSnapshot) int64 { return st.NotProved }))
-	r.NewCounterFunc("spes_engine_unsupported_total",
-		"Pairs using unsupported SQL (lifetime).",
-		stat(func(st engine.StatsSnapshot) int64 { return st.Unsupported }))
-	r.NewCounterFunc("spes_engine_refuted_total",
-		"Pairs proved inequivalent by a counterexample witness (lifetime).",
-		stat(func(st engine.StatsSnapshot) int64 { return st.Refuted }))
-	r.NewCounterFunc("spes_engine_timeouts_total",
-		"Pairs degraded by the verification deadline (lifetime).",
-		stat(func(st engine.StatsSnapshot) int64 { return st.Timeouts }))
-	r.NewCounterFunc("spes_engine_cancelled_total",
-		"Pairs aborted by context cancellation (lifetime).",
-		stat(func(st engine.StatsSnapshot) int64 { return st.Cancelled }))
-	r.NewCounterFunc("spes_engine_solver_queries_total",
-		"SMT queries issued (lifetime).",
-		stat(func(st engine.StatsSnapshot) int64 { return st.SolverQueries }))
-	r.NewCounterFunc("spes_solver_sessions_total",
-		"Incremental solver sessions opened (lifetime).",
-		stat(func(st engine.StatsSnapshot) int64 { return st.SolverSessions }))
-	r.NewCounterFunc("spes_solver_prefix_reuse_total",
-		"Obligation checks that reused an already-encoded session prefix (lifetime).",
-		stat(func(st engine.StatsSnapshot) int64 { return st.PrefixReuse }))
-	r.NewCounterFunc("spes_engine_norm_memo_hits_total",
-		"Normalization memo hits (lifetime).",
-		stat(func(st engine.StatsSnapshot) int64 { return st.NormHits }))
-	r.NewCounterFunc("spes_engine_norm_memo_misses_total",
-		"Normalization memo misses (lifetime).",
-		stat(func(st engine.StatsSnapshot) int64 { return st.NormMisses }))
-	r.NewCounterFunc("spes_engine_obligation_cache_hits_total",
-		"Obligation cache hits (lifetime).",
-		stat(func(st engine.StatsSnapshot) int64 { return st.ObligationHits }))
-	r.NewCounterFunc("spes_engine_obligation_cache_misses_total",
-		"Obligation cache misses (lifetime).",
-		stat(func(st engine.StatsSnapshot) int64 { return st.ObligationMisses }))
+	// Engine series: one per StatsSnapshot field, declared by its tags and
+	// read from the snapshot /v1/stats serves. Only the derived hit rate is
+	// registered by hand.
+	r.add(engineSeries{s})
 	r.NewGaugeFunc("spes_engine_obligation_cache_hit_rate",
 		"Obligation cache hit fraction in [0,1] (lifetime).",
-		func() float64 { return s.eng.Stats().ObligationHitRate() })
-	r.NewGaugeFunc("spes_engine_term_nodes",
-		"Distinct term nodes in the engine's current interner epoch; with rotation on (TermNodeHighWater > 0) this stays bounded by the high-water mark, and the engine's live term memory is proportional to it once retired epochs are collected.",
-		stat(func(st engine.StatsSnapshot) int64 { return st.TermNodes }))
-	r.NewCounterFunc("spes_engine_interner_epochs_total",
-		"Interner epochs opened, including the initial one; increments when the term DAG crosses the rotation high-water mark.",
-		stat(func(st engine.StatsSnapshot) int64 { return st.InternerEpochs }))
-	r.NewCounterFunc("spes_engine_session_evictions_total",
-		"Verify sessions evicted from the bounded session tables, by LRU pressure or epoch rotation (lifetime).",
-		stat(func(st engine.StatsSnapshot) int64 { return st.SessionEvictions }))
-	r.NewCounterFunc("spes_store_hits_total",
-		"Obligations answered from the durable verdict store (lifetime).",
-		stat(func(st engine.StatsSnapshot) int64 { return st.StoreHits }))
-	r.NewCounterFunc("spes_store_misses_total",
-		"Durable-store lookups that found no verdict (lifetime).",
-		stat(func(st engine.StatsSnapshot) int64 { return st.StoreMisses }))
+		func() float64 { return s.Stats().ObligationHitRate() })
 	if st := s.store; st != nil {
-		r.NewGaugeFunc("spes_store_records",
+		r.NewIntFunc("spes_store_records",
 			"Live records (verdicts plus lemmas) indexed in the durable store.",
-			func() float64 { return float64(st.Snapshot().Records) })
-		r.NewGaugeFunc("spes_store_bytes",
+			func() int64 { return st.Snapshot().Records })
+		r.NewIntFunc("spes_store_bytes",
 			"Bytes in the durable store's append-only log.",
-			func() float64 { return float64(st.Snapshot().Bytes) })
-		r.NewCounterFunc("spes_store_appends_total",
+			func() int64 { return st.Snapshot().Bytes })
+		r.NewIntFunc("spes_store_appends_total",
 			"Records appended to the durable store this process (lifetime).",
-			func() float64 { return float64(st.Snapshot().Appends) })
+			func() int64 { return st.Snapshot().Appends })
 	}
-	r.NewCounterFunc("spes_panics_recovered_total",
-		"Panics recovered into degraded verdicts or HTTP 500s instead of crashing the process (lifetime).",
-		func() float64 { return float64(s.eng.Stats().Panics + s.srvPanics.Load()) })
-	r.NewCounterFunc("spes_watchdog_aborts_total",
-		"Verifications abandoned by the watchdog after running past deadline-plus-grace (lifetime).",
-		stat(func(st engine.StatsSnapshot) int64 { return st.WatchdogAborts }))
 	// Replication series are always registered (label parity is tested);
 	// children appear once an origin is configured and its tailer runs.
 	s.replSegments = r.NewCounterVec("spes_replication_segments_total",
@@ -377,6 +314,27 @@ func (s *Server) registerMetrics() {
 		s.reg.NewCounterVec("spes_shard_info",
 			"Shard identity of this process (constant 1; the shard_id label carries the ID).",
 			"shard_id").With(id).Store(1)
+	}
+}
+
+// Stats is the server's snapshot of the engine counters, the one /metrics
+// and /v1/stats both render: the engine's snapshot with the panics
+// recovered in the HTTP layer folded into Panics.
+func (s *Server) Stats() engine.StatsSnapshot {
+	st := s.eng.Stats()
+	st.Panics += s.srvPanics.Load()
+	return st
+}
+
+// engineSeries renders one /metrics series per StatsSnapshot field, all
+// from a single Stats call per scrape, so the verdict series of one scrape
+// sum to its pairs series.
+type engineSeries struct{ s *Server }
+
+func (m engineSeries) render(w io.Writer) {
+	st := m.s.Stats()
+	for _, f := range engine.StatFields() {
+		writeInt(w, f.Metric, f.Help, f.Value(&st))
 	}
 }
 
@@ -545,9 +503,8 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// handleStats is GET /v1/stats: the engine's full lifetime snapshot plus
-// shard identity, the per-shard feed the router's /v1/cluster/stats
-// aggregates.
+// handleStats is GET /v1/stats: the server's lifetime snapshot plus shard
+// identity, the per-shard feed the router's /v1/cluster/stats aggregates.
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		w.Header().Set("Allow", http.MethodGet)
@@ -559,11 +516,11 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		ConstraintDigest: s.eng.ConstraintDigest(),
 		UptimeS:          time.Since(s.start).Seconds(),
 		Draining:         s.draining.Load(),
-		Engine:           s.eng.Stats(),
+		Engine:           s.Stats(),
 	}
 	if st := s.store; st != nil {
 		ss := st.Snapshot()
-		resp.Store = &StoreStatsJSON{Records: ss.Records, Bytes: ss.Bytes, Appends: ss.Appends}
+		resp.Store = &ss
 	}
 	resp.Replication = s.ReplicationSnapshot()
 	writeJSON(w, http.StatusOK, resp)

@@ -36,10 +36,9 @@ func (r Result) String() string {
 }
 
 // Stats accumulates solver counters across queries. Stats holds only value
-// fields, so a plain struct copy is a consistent snapshot; use Snapshot to
-// make the copy explicit. Like the Solver itself, the counters are owned by
-// one goroutine — snapshot from the owning goroutine before handing the
-// numbers to another.
+// fields, so a plain struct copy is a consistent snapshot. Like the Solver
+// itself, the counters are owned by one goroutine — copy them on the
+// owning goroutine before handing the numbers to another.
 type Stats struct {
 	Queries       int
 	ModelRounds   int   // propositional models examined across queries
@@ -54,10 +53,6 @@ type Stats struct {
 	SuffixChecks  int   // CheckSatUnder calls answered across sessions
 	PrefixReuse   int   // suffix checks that reused an already-encoded prefix
 }
-
-// Snapshot returns a copy of the counters, safe to retain after the solver
-// moves on to further queries.
-func (s Stats) Snapshot() Stats { return s }
 
 // Solver checks satisfiability and validity of quantifier-free fol formulas.
 // A Solver is not safe for concurrent use; each goroutine should own one.

@@ -54,7 +54,7 @@ type CreateTable struct {
 	Name        string
 	Columns     []ColumnDef
 	PK          []string
-	Unique      [][]string   // table-level and column-level UNIQUE keys
+	Unique      [][]string // table-level and column-level UNIQUE keys
 	ForeignKeys []ForeignKeyDef
 }
 

@@ -70,17 +70,17 @@ type ref struct {
 type Stats struct {
 	// Records and Bytes describe the log as scanned at Open plus appends
 	// since (Bytes includes framing).
-	Records int64
-	Bytes   int64
+	Records int64 `json:"records"`
+	Bytes   int64 `json:"bytes"`
 	// TruncatedBytes is how much torn/corrupt tail Open cut off.
-	TruncatedBytes int64
+	TruncatedBytes int64 `json:"truncated_bytes"`
 	// Hits and Misses count LookupVerdict outcomes.
-	Hits   int64
-	Misses int64
+	Hits   int64 `json:"hits"`
+	Misses int64 `json:"misses"`
 	// Appends counts records durably written; Dropped counts appends lost
 	// to a full write-behind queue, an injected fault, or a closed store.
-	Appends int64
-	Dropped int64
+	Appends int64 `json:"appends"`
+	Dropped int64 `json:"dropped"`
 }
 
 // Store is safe for concurrent use. Lookups hit the in-memory index and

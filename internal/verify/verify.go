@@ -28,26 +28,28 @@ import (
 	"spes/internal/symbolic"
 )
 
-// Stats counts verification work.
+// Stats counts one verification's work. It is the per-pair record the
+// engine folds into its snapshot and spes-serve returns as a verify
+// response's "stats".
 type Stats struct {
-	SolverQueries   int
-	VeriCardCalls   int
-	Candidates      int   // VeriVec candidate bijections examined
-	ModelRounds     int   // propositional models the solver examined
-	TheoryConflicts int   // theory conflicts (blocking clauses learned)
-	CoreChecks      int64 // theory checks spent minimizing cores
-	ObligationHits  int   // validity obligations answered from the cache
-	ObligationMiss  int   // validity obligations sent to the solver
-	SolverSessions  int   // incremental solver sessions opened
-	PrefixEncodes   int   // prefix cases encoded by session pushes
-	SuffixChecks    int   // obligations answered inside a session
-	PrefixReuse     int   // suffix checks that reused an encoded prefix
-	StoreHits       int   // obligations answered from the durable store
-	StoreMisses     int   // durable-store lookups that missed
-	SessionEvicts   int   // sessions evicted from the LRU table (incl. rotation drains)
-	RefuteSearches  int   // bounded refutation searches run after failed proofs
-	RefuteRounds    int   // candidate databases generated across those searches
-	WitnessHits     int   // witnesses answered (and re-confirmed) from the durable store
+	SolverQueries   int   `json:"solver_queries"`
+	VeriCardCalls   int   `json:"vericard_calls"`
+	Candidates      int   `json:"candidates"`        // VeriVec candidate bijections examined
+	ModelRounds     int   `json:"model_rounds"`      // propositional models the solver examined
+	TheoryConflicts int   `json:"theory_conflicts"`  // theory conflicts (blocking clauses learned)
+	CoreChecks      int64 `json:"core_checks"`       // theory checks spent minimizing cores
+	ObligationHits  int   `json:"obligation_hits"`   // validity obligations answered from the cache
+	ObligationMiss  int   `json:"obligation_misses"` // validity obligations sent to the solver
+	SolverSessions  int   `json:"solver_sessions"`   // incremental solver sessions opened
+	PrefixEncodes   int   `json:"prefix_encodes"`    // prefix cases encoded by session pushes
+	SuffixChecks    int   `json:"suffix_checks"`     // obligations answered inside a session
+	PrefixReuse     int   `json:"prefix_reuse"`      // suffix checks that reused an encoded prefix
+	StoreHits       int   `json:"store_hits"`        // obligations answered from the durable store
+	StoreMisses     int   `json:"store_misses"`      // durable-store lookups that missed
+	SessionEvicts   int   `json:"session_evictions"` // sessions evicted from the LRU table (incl. rotation drains)
+	RefuteSearches  int   `json:"refute_searches"`   // bounded refutation searches run after failed proofs
+	RefuteRounds    int   `json:"refute_rounds"`     // candidate databases generated across those searches
+	WitnessHits     int   `json:"witness_hits"`      // witnesses answered (and re-confirmed) from the durable store
 }
 
 // ObligationCache memoizes validity outcomes across Verifiers. Keys are
@@ -282,7 +284,7 @@ func NewWithConfig(cfg Config) *Verifier {
 // Stats returns counters accumulated so far.
 func (v *Verifier) Stats() Stats {
 	s := v.stats
-	ss := v.solver.Stats.Snapshot()
+	ss := v.solver.Stats
 	s.SolverQueries = ss.Queries
 	s.ModelRounds = ss.ModelRounds
 	s.TheoryConflicts = ss.TheoryConfls

@@ -235,8 +235,9 @@ type BatchPair = engine.Pair
 // cache sizing, and the same normalization switches as Options.
 type BatchOptions = engine.Options
 
-// BatchStats aggregates a VerifyBatch run: wall time, verdict counts,
-// dedupe and cache hit/miss counters, throughput.
+// BatchStats aggregates a VerifyBatch run: the engine's StatsSnapshot
+// counters (verdicts, dedupe, cache hits and misses, solver work) plus
+// worker count and wall time.
 type BatchStats = engine.BatchStats
 
 // BatchResult is one pair's outcome from VerifyBatch.
