@@ -209,26 +209,16 @@ func BenchmarkBatch_Parallel1(b *testing.B) { benchmarkBatchWorkers(b, 1) }
 func BenchmarkBatch_Parallel4(b *testing.B) { benchmarkBatchWorkers(b, 4) }
 func BenchmarkBatch_Parallel8(b *testing.B) { benchmarkBatchWorkers(b, 8) }
 
-// benchmarkBatchAllocs is the allocation-focused batch variant behind the
-// hash-consed term IR's acceptance bar (>= 25% fewer allocs/op than the
-// legacy tree-allocated path; see spes-bench -ir / BENCH_ir.json for the
-// artifact-producing version of the same comparison).
-func benchmarkBatchAllocs(b *testing.B, opts engine.Options) {
+// BenchmarkBatch_Parallel4Allocs is the allocation-focused batch variant:
+// allocs/op of the engine's batch path at 4 workers.
+func BenchmarkBatch_Parallel4Allocs(b *testing.B) {
 	pairs := batchBenchPairs(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, stats := engine.VerifyPlanBatch(pairs, opts)
+		_, stats := engine.VerifyPlanBatch(pairs, engine.Options{Workers: 4})
 		if stats.Pairs != int64(len(pairs)) {
 			b.Fatalf("verified %d of %d pairs", stats.Pairs, len(pairs))
 		}
 	}
-}
-
-func BenchmarkBatch_Parallel4Allocs(b *testing.B) {
-	benchmarkBatchAllocs(b, engine.Options{Workers: 4})
-}
-
-func BenchmarkBatch_Parallel4AllocsLegacy(b *testing.B) {
-	benchmarkBatchAllocs(b, engine.Options{Workers: 4, DisableInterning: true})
 }

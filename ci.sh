@@ -2,19 +2,21 @@
 # Repo verification gate: vet, build, and the full test suite under the
 # race detector (the engine's determinism and worker-ownership tests run
 # with 8 concurrent workers, so -race exercises the batch engine's
-# sharing for real), then end-to-end smoke tests: spes-serve boot/verify/
-# drain, chaos under -faults, warm restart through the durable store, a
-# 2-shard spes-router cluster surviving a shard kill via failover, a
-# refutation stage proving buggy rewrites come back "refuted" with
-# byte-identical counterexample witnesses standalone and routed, and a
-# replication stage where a SIGKILLed shard's verdicts survive on a
-# tailing peer that answers them warm from its replicated store.
+# sharing for real), every benchmark run once, then end-to-end smoke
+# tests: spes-serve boot/verify/drain, chaos under -faults, warm restart
+# through the durable store, a 2-shard spes-router cluster surviving a
+# shard kill via failover, a refutation stage proving buggy rewrites come
+# back "refuted" with byte-identical counterexample witnesses standalone
+# and routed, and a replication stage where a SIGKILLed shard's verdicts
+# survive on a tailing peer that answers them warm from its replicated
+# store.
 set -eux
 
 # Term-construction lint: fol.Term values must be built through the fol
-# package's constructors (which route through the owning interner), never
-# as raw composite literals — a raw literal would silently produce a
-# legacy tree node with no ID and break every ID-keyed map downstream.
+# package's constructors, which hash-cons every term into its owning
+# interner, never as raw composite literals — a raw literal would be a
+# node no interner owns, with no ID and no canonical key, and would break
+# every ID-keyed map downstream.
 if grep -rn '&fol\.Term{' --include='*.go' --exclude-dir=fol .; then
     echo "ci: raw &fol.Term{...} composite literal outside internal/fol" >&2
     exit 1
@@ -44,9 +46,15 @@ go vet ./...
 go build ./...
 go test -race ./...
 
-# The differential verdict-parity suite (interned vs legacy term
-# construction) is part of the -race run above; run it by name as well so
-# a test-filtering change can never silently drop it.
+# Run every benchmark once: -run '^$' skips the tests (they ran above), and
+# -benchtime 1x executes each benchmark body a single time, so a benchmark
+# that no longer works fails here instead of only when someone measures.
+go test -run '^$' -bench . -benchtime 1x ./...
+
+# The differential verdict-parity suite (a Verifier on a fresh private
+# interner vs one on an interner shared across the run, as in the engine)
+# is part of the -race run above; run it by name as well so a
+# test-filtering change can never silently drop it.
 go test -race -run 'TestDifferentialVerdictParity|TestPipelineFuzzDifferential' ./internal/verify/ .
 
 # Incremental-solving parity: sessions vs one-shot solving must agree on

@@ -20,6 +20,10 @@
 // trajectory is tracked across PRs; likewise -serve writes
 // BENCH_serve.json (req/s and latency percentiles through the HTTP
 // service at 1 and GOMAXPROCS clients).
+//
+// BENCH_ir.json is the historical record of the term-IR study, which
+// compared the interned term path against an uninterned one. That path no
+// longer exists, so no flag regenerates it.
 package main
 
 import (
@@ -46,8 +50,6 @@ func main() {
 		batchOut = flag.String("batch-out", "BENCH_batch.json", "with -batch -json: artifact path for the batch report")
 		timeout  = flag.Duration("timeout", 0, "with -batch: per-pair verification deadline (0 = none)")
 		refuteB  = flag.Int("refute-budget", 0, "with -batch: counterexample-search budget per failed proof; adds refutation-rate columns (0 disables)")
-		ir       = flag.Bool("ir", false, "run the term-IR allocation study (interned vs legacy batch path)")
-		irOut    = flag.String("ir-out", "BENCH_ir.json", "with -ir -json: artifact path for the IR report")
 		incr     = flag.Bool("incremental", false, "run the incremental-solving study (sessions vs one-shot batch path)")
 		incrOut  = flag.String("incremental-out", "BENCH_incremental.json", "with -incremental -json: artifact path for the incremental report")
 		serve    = flag.Bool("serve", false, "run the spes-serve HTTP loadgen study")
@@ -113,21 +115,6 @@ func main() {
 			fmt.Fprintf(os.Stderr, "spes-bench: wrote %s\n", *batchOut)
 		} else {
 			fmt.Print(bench.RenderBatch(rep))
-		}
-	}
-	if *all || *ir {
-		ranSomething = true
-		w := corpus.ProductionWorkload(*seed, *scale)
-		rep := bench.RunIR(w, *parallel)
-		if *asJSON {
-			out["ir"] = rep
-			if err := writeArtifact(*irOut, rep); err != nil {
-				fmt.Fprintf(os.Stderr, "spes-bench: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Fprintf(os.Stderr, "spes-bench: wrote %s\n", *irOut)
-		} else {
-			fmt.Print(bench.RenderIR(rep))
 		}
 	}
 	if *all || *incr {

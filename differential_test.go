@@ -4,18 +4,20 @@ import (
 	"math/rand"
 	"testing"
 
+	"spes/internal/fol"
 	"spes/internal/normalize"
 	"spes/internal/refute"
 	"spes/internal/verify"
 )
 
 // TestPipelineFuzzDifferential replays the whole-pipeline fuzz
-// distribution (same generator and seed as TestPipelineFuzz) through both
-// term-construction modes: the default shared-interner path and the legacy
-// tree-allocated path. Hash-consing is a representation change only, so
-// the Outcomes must match exactly on every pair — including the unproved
-// ones, where divergence would hint that interning perturbed the solver's
-// search rather than its answers.
+// distribution (same generator and seed as TestPipelineFuzz) through a
+// Verifier on a fresh private interner and one on an interner shared
+// across the whole run — the engine's production setup, with a DAG warm
+// from earlier pairs and IDs shifted by them. Which interner a term lives
+// in is a representation detail only, so the Outcomes must match exactly
+// on every pair — including the unproved ones, where divergence would hint
+// that term IDs perturbed the solver's search rather than its answers.
 func TestPipelineFuzzDifferential(t *testing.T) {
 	cat, err := ParseCatalog(fuzzDDL)
 	if err != nil {
@@ -28,6 +30,7 @@ func TestPipelineFuzzDifferential(t *testing.T) {
 		iterations = 15
 	}
 	nz := normalize.New(normalize.Options{})
+	shared := fol.NewInterner()
 	for iter := 0; iter < iterations; iter++ {
 		sql1 := g.query(2)
 		sql2 := g.query(2)
@@ -41,17 +44,17 @@ func TestPipelineFuzzDifferential(t *testing.T) {
 		}
 		n1, n2 := nz.Normalize(q1), nz.Normalize(q2)
 
-		interned := verify.NewWithConfig(verify.Config{}).Check(n1, n2)
-		legacy := verify.NewWithConfig(verify.Config{DisableInterning: true}).Check(n1, n2)
-		if interned != legacy {
-			t.Fatalf("verdict divergence between construction modes\n%s\n%s\ninterned: %+v\nlegacy:   %+v",
-				sql1, sql2, interned, legacy)
+		fresh := verify.NewWithConfig(verify.Config{}).Check(n1, n2)
+		warm := verify.NewWithConfig(verify.Config{Interner: shared}).Check(n1, n2)
+		if fresh != warm {
+			t.Fatalf("verdict divergence between a fresh and a shared interner\n%s\n%s\nfresh:  %+v\nshared: %+v",
+				sql1, sql2, fresh, warm)
 		}
 
-		// Self-pairs must be proved in both modes, not merely agree.
-		self := verify.NewWithConfig(verify.Config{DisableInterning: true}).Check(n1, n1)
+		// Self-pairs must be proved on the shared interner, not merely agree.
+		self := verify.NewWithConfig(verify.Config{Interner: shared}).Check(n1, n1)
 		if !self.Full {
-			t.Fatalf("legacy path failed to prove self-equivalence: %s", sql1)
+			t.Fatalf("shared interner failed to prove self-equivalence: %s", sql1)
 		}
 	}
 }

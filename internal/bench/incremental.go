@@ -185,6 +185,14 @@ func RunIncremental(seed int64, npairs, workers int) IncrementalReport {
 	return rep
 }
 
+// reductionPct is how much smaller now is than base, in percent.
+func reductionPct(base, now int64) float64 {
+	if base <= 0 {
+		return 0
+	}
+	return 100 * (1 - float64(now)/float64(base))
+}
+
 // RenderIncremental renders the study for the terminal.
 func RenderIncremental(r IncrementalReport) string {
 	var b strings.Builder

@@ -10,13 +10,11 @@ const DefaultCacheSize = 4096
 
 // ObligationCache is a bounded, concurrency-safe LRU cache of definite
 // validity outcomes, keyed by the Verifier's obligation key: a compact
-// interner-tag:term-ID pair when the engine's shared interner is on (the
-// common case — deriving it is O(1) and allocation-free up to the small key
-// string), or the canonical serialization of the obligation term when
-// interning is disabled (see verify.ObligationCache for the key forms and
-// the soundness contract it relies on). One cache is shared by every worker
-// of a batch; the single mutex is uncontended in practice because each
-// lookup guards seconds-to-milliseconds of solver work.
+// interner-tag:term-ID pair, O(1) to derive and allocation-free up to the
+// small key string (see verify.ObligationCache for the key and the
+// soundness contract it relies on). One cache is shared by every worker of
+// a batch; the single mutex is uncontended in practice because each lookup
+// guards seconds-to-milliseconds of solver work.
 type ObligationCache struct {
 	mu     sync.Mutex
 	max    int

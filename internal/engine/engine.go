@@ -120,11 +120,6 @@ type Options struct {
 	// MaxCandidates caps VeriVec's bijection search per vector pair
 	// (0 = verifier default).
 	MaxCandidates int
-	// DisableInterning builds all solver terms through the legacy
-	// tree-allocating constructors instead of the shared hash-consing
-	// interner. Verdicts are identical either way; the switch feeds the
-	// differential parity suite and the allocation benchmarks' baseline.
-	DisableInterning bool
 	// DisableIncremental makes every verifier solve obligations with
 	// one-shot solver calls instead of prefix-sharing incremental sessions.
 	// Verdicts are identical either way; the switch feeds the incremental
@@ -347,15 +342,14 @@ type Shared struct {
 	// every worker's Normalizer (nil when caching is disabled).
 	sat *satTable
 
-	// in is the term interner every worker's Verifier builds through (nil
-	// when interning is disabled). Sharing it across workers means each
-	// distinct term is allocated once per batch — or once per engine
-	// lifetime for the persistent form — and obligation-cache keys derive
-	// from its IDs in O(1). It is an atomic pointer because epoch rotation
-	// (maybeRotate) swaps it while workers are reading; overlays do not
-	// hold their own copy but delegate to the root (interner()), so a
-	// rotation is visible to every layer at once. rotMu serializes the
-	// swap itself.
+	// in is the term interner every worker's Verifier builds through.
+	// Sharing it across workers means each distinct term is allocated once
+	// per batch — or once per engine lifetime for the persistent form —
+	// and obligation-cache keys derive from its IDs in O(1). It is an
+	// atomic pointer because epoch rotation (maybeRotate) swaps it while
+	// workers are reading; overlays do not hold their own copy but delegate
+	// to the root (interner()), so a rotation is visible to every layer at
+	// once. rotMu serializes the swap itself.
 	in    atomic.Pointer[fol.Interner]
 	rotMu sync.Mutex
 
@@ -367,8 +361,7 @@ type Shared struct {
 }
 
 // interner returns the engine's current-epoch interner, delegating to the
-// root Shared so batch overlays observe rotations immediately. Nil when
-// interning is disabled.
+// root Shared so batch overlays observe rotations immediately.
 func (s *Shared) interner() *fol.Interner {
 	if s.parent != nil {
 		return s.parent.interner()
@@ -402,7 +395,7 @@ func (s *Shared) maybeRotate() {
 		return
 	}
 	cur := s.in.Load()
-	if cur == nil || cur.Len() < hw {
+	if cur.Len() < hw {
 		return
 	}
 	s.rotMu.Lock()
@@ -474,10 +467,8 @@ func (s *Shared) Snapshot() StatsSnapshot {
 	if s.cache != nil {
 		snap.ObligationHits, snap.ObligationMisses = s.cache.Counters()
 	}
-	if in := s.interner(); in != nil {
-		snap.TermNodes = int64(in.Len())
-		snap.InternerEpochs = 1 + s.root().rotations.Load()
-	}
+	snap.TermNodes = int64(s.interner().Len())
+	snap.InternerEpochs = 1 + s.root().rotations.Load()
 	return snap
 }
 
@@ -487,9 +478,7 @@ func (s *Shared) Snapshot() StatsSnapshot {
 // not echoed into the log again.
 func NewShared(opts Options) *Shared {
 	s := &Shared{opts: opts}
-	if !opts.DisableInterning {
-		s.in.Store(fol.NewInterner())
-	}
+	s.in.Store(fol.NewInterner())
 	if opts.ShareLemmas {
 		s.lemmas = smt.NewLemmaPool()
 		if opts.Store != nil {
@@ -683,7 +672,6 @@ func (w *Worker) check(ctx context.Context, q1, q2 plan.Node) Result {
 	cfg := verify.Config{
 		MaxCandidates:      w.shared.opts.MaxCandidates,
 		Interner:           w.shared.interner(),
-		DisableInterning:   w.shared.opts.DisableInterning,
 		DisableIncremental: w.shared.opts.DisableIncremental,
 		Lemmas:             w.shared.root().lemmas,
 		RefuteBudget:       w.shared.opts.RefuteBudget,

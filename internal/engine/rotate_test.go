@@ -1,7 +1,10 @@
 package engine
 
 import (
+	"bytes"
 	"context"
+	"os"
+	"path/filepath"
 	"sync/atomic"
 	"testing"
 
@@ -187,5 +190,42 @@ func TestWarmRestartParity(t *testing.T) {
 			t.Errorf("pair %s: cardinal %v cold, %v after warm restart",
 				pairs[i].ID, coldRes[i].Cardinal, warmRes[i].Cardinal)
 		}
+	}
+}
+
+// TestStoreLogDeterministic pins that the durable store's bytes are a
+// deterministic function of the pairs: two cold single-worker runs with
+// shared lemmas and refutation write byte-identical logs — verdict,
+// witness and lemma records, down to the literal order inside each lemma.
+func TestStoreLogDeterministic(t *testing.T) {
+	pairs := calcitePairs()
+	run := func() []byte {
+		dir := t.TempDir()
+		st, err := store.OpenDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng := NewEngine(corpus.Catalog(), Options{Workers: 1, Store: st, ShareLemmas: true, RefuteBudget: 64})
+		eng.VerifyBatch(context.Background(), pairs, 1)
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(filepath.Join(dir, "spes-verdicts.log"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	first, second := run(), run()
+	if len(first) == 0 {
+		t.Fatal("sanity: the run persisted nothing")
+	}
+	if !bytes.Equal(first, second) {
+		n := 0
+		for n < len(first) && n < len(second) && first[n] == second[n] {
+			n++
+		}
+		t.Fatalf("two runs of the same pairs wrote different logs (%d and %d bytes, first difference at byte %d)",
+			len(first), len(second), n)
 	}
 }

@@ -27,6 +27,7 @@ import (
 )
 
 // Verifier proves set-semantics equivalence. One per pair; not concurrent.
+// Its terms are built in its own interner, which its solver shares.
 type Verifier struct {
 	solver *smt.Solver
 	gen    *symbolic.Gen
@@ -39,9 +40,11 @@ type Verifier struct {
 
 // New returns a fresh verifier.
 func New() *Verifier {
-	g := symbolic.NewGen()
+	g := symbolic.NewGen(fol.NewInterner())
+	s := smt.New()
+	s.Interner = g.Interner()
 	return &Verifier{
-		solver:    smt.New(),
+		solver:    s,
 		gen:       g,
 		enc:       symbolic.NewEncoder(g),
 		tableVars: make(map[string][]symbolic.Tuple),
@@ -266,8 +269,8 @@ func (v *Verifier) deriveAgg(a *plan.Agg) ([]*sr, error) {
 			name += "$d"
 		}
 		out = append(out, symbolic.Col{
-			Val:  fol.App(name, fol.SortNum, args...),
-			Null: fol.App(name+"$null", fol.SortBool, args...),
+			Val:  v.gen.Interner().App(name, fol.SortNum, args...),
+			Null: v.gen.Interner().App(name+"$null", fol.SortBool, args...),
 		})
 	}
 	return []*sr{{cols: out, cond: in.cond, assign: fol.And(assigns...)}}, nil

@@ -133,3 +133,10 @@ func TestUnionBranches(t *testing.T) {
 func TestArityMismatch(t *testing.T) {
 	check(t, "SELECT EMP_ID, SALARY FROM EMP", "SELECT EMP_ID FROM EMP", false)
 }
+
+// TestGlobalCountSelfEquivalent covers the zero-argument application: a
+// global COUNT(*) has no operand and no group key, so its symbolic column
+// is an uninterpreted constant, built through the verifier's interner.
+func TestGlobalCountSelfEquivalent(t *testing.T) {
+	check(t, "SELECT COUNT(*) FROM EMP", "SELECT COUNT(*) FROM EMP", true)
+}

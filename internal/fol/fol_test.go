@@ -7,41 +7,43 @@ import (
 	"testing/quick"
 )
 
+// tin owns every term the tests in this package build.
+var tin = NewInterner()
+
 func TestConstructorsFoldConstants(t *testing.T) {
 	cases := []struct {
 		name string
 		got  *Term
 		want *Term
 	}{
-		{"add-consts", Add(Int(2), Int(3)), Int(5)},
-		{"add-zero", Add(NumVar("x"), Int(0)), NumVar("x")},
-		{"add-empty", Add(), Int(0)},
-		{"mul-consts", Mul(Int(2), Int(3)), Int(6)},
-		{"mul-zero", Mul(NumVar("x"), Int(0)), Int(0)},
-		{"mul-one", Mul(NumVar("x"), Int(1)), NumVar("x")},
-		{"neg-const", Neg(Int(4)), Int(-4)},
-		{"neg-neg", Neg(Neg(NumVar("x"))), NumVar("x")},
-		{"sub-self", Sub(NumVar("x"), NumVar("x")), Int(0)},
-		{"div-const", Div(NumVar("x"), Int(2)), Mul(Num(big.NewRat(1, 2)), NumVar("x"))},
-		{"eq-consts-true", Eq(Int(3), Int(3)), True()},
-		{"eq-consts-false", Eq(Int(3), Int(4)), False()},
-		{"eq-self", Eq(NumVar("x"), NumVar("x")), True()},
-		{"le-consts", Le(Int(3), Int(4)), True()},
-		{"lt-self", Lt(NumVar("x"), NumVar("x")), False()},
+		{"add-consts", Add(tin.Int(2), tin.Int(3)), tin.Int(5)},
+		{"add-zero", Add(tin.NumVar("x"), tin.Int(0)), tin.NumVar("x")},
+		{"mul-consts", Mul(tin.Int(2), tin.Int(3)), tin.Int(6)},
+		{"mul-zero", Mul(tin.NumVar("x"), tin.Int(0)), tin.Int(0)},
+		{"mul-one", Mul(tin.NumVar("x"), tin.Int(1)), tin.NumVar("x")},
+		{"neg-const", Neg(tin.Int(4)), tin.Int(-4)},
+		{"neg-neg", Neg(Neg(tin.NumVar("x"))), tin.NumVar("x")},
+		{"sub-self", Sub(tin.NumVar("x"), tin.NumVar("x")), tin.Int(0)},
+		{"div-const", Div(tin.NumVar("x"), tin.Int(2)), Mul(tin.Num(big.NewRat(1, 2)), tin.NumVar("x"))},
+		{"eq-consts-true", Eq(tin.Int(3), tin.Int(3)), True()},
+		{"eq-consts-false", Eq(tin.Int(3), tin.Int(4)), False()},
+		{"eq-self", Eq(tin.NumVar("x"), tin.NumVar("x")), True()},
+		{"le-consts", Le(tin.Int(3), tin.Int(4)), True()},
+		{"lt-self", Lt(tin.NumVar("x"), tin.NumVar("x")), False()},
 		{"not-true", Not(True()), False()},
-		{"not-not", Not(Not(BoolVar("p"))), BoolVar("p")},
-		{"and-true-unit", And(BoolVar("p"), True()), BoolVar("p")},
-		{"and-false-zero", And(BoolVar("p"), False()), False()},
-		{"and-dedupe", And(BoolVar("p"), BoolVar("p")), BoolVar("p")},
-		{"and-complement", And(BoolVar("p"), Not(BoolVar("p"))), False()},
-		{"or-true-zero", Or(BoolVar("p"), True()), True()},
-		{"or-complement", Or(BoolVar("p"), Not(BoolVar("p"))), True()},
-		{"iff-self", Iff(BoolVar("p"), BoolVar("p")), True()},
-		{"iff-true", Iff(True(), BoolVar("p")), BoolVar("p")},
-		{"iff-false", Iff(False(), BoolVar("p")), Not(BoolVar("p"))},
-		{"ite-const-cond", Ite(True(), Int(1), Int(2)), Int(1)},
-		{"ite-same-branches", Ite(BoolVar("p"), Int(1), Int(1)), Int(1)},
-		{"implies-desugar", Implies(BoolVar("p"), BoolVar("q")), Or(Not(BoolVar("p")), BoolVar("q"))},
+		{"not-not", Not(Not(tin.BoolVar("p"))), tin.BoolVar("p")},
+		{"and-true-unit", And(tin.BoolVar("p"), True()), tin.BoolVar("p")},
+		{"and-false-zero", And(tin.BoolVar("p"), False()), False()},
+		{"and-dedupe", And(tin.BoolVar("p"), tin.BoolVar("p")), tin.BoolVar("p")},
+		{"and-complement", And(tin.BoolVar("p"), Not(tin.BoolVar("p"))), False()},
+		{"or-true-zero", Or(tin.BoolVar("p"), True()), True()},
+		{"or-complement", Or(tin.BoolVar("p"), Not(tin.BoolVar("p"))), True()},
+		{"iff-self", Iff(tin.BoolVar("p"), tin.BoolVar("p")), True()},
+		{"iff-true", Iff(True(), tin.BoolVar("p")), tin.BoolVar("p")},
+		{"iff-false", Iff(False(), tin.BoolVar("p")), Not(tin.BoolVar("p"))},
+		{"ite-const-cond", Ite(True(), tin.Int(1), tin.Int(2)), tin.Int(1)},
+		{"ite-same-branches", Ite(tin.BoolVar("p"), tin.Int(1), tin.Int(1)), tin.Int(1)},
+		{"implies-desugar", Implies(tin.BoolVar("p"), tin.BoolVar("q")), Or(Not(tin.BoolVar("p")), tin.BoolVar("q"))},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -53,7 +55,7 @@ func TestConstructorsFoldConstants(t *testing.T) {
 }
 
 func TestNotRewritesComparisons(t *testing.T) {
-	x, y := NumVar("x"), NumVar("y")
+	x, y := tin.NumVar("x"), tin.NumVar("y")
 	if got := Not(Le(x, y)); !got.Equal(Lt(y, x)) {
 		t.Errorf("Not(x<=y) = %v, want y<x", got)
 	}
@@ -63,17 +65,17 @@ func TestNotRewritesComparisons(t *testing.T) {
 }
 
 func TestEqCanonicalOrder(t *testing.T) {
-	x, y := NumVar("x"), NumVar("y")
+	x, y := tin.NumVar("x"), tin.NumVar("y")
 	if Eq(x, y).Key() != Eq(y, x).Key() {
 		t.Errorf("Eq is not canonically ordered: %v vs %v", Eq(x, y), Eq(y, x))
 	}
-	if Iff(BoolVar("p"), BoolVar("q")).Key() != Iff(BoolVar("q"), BoolVar("p")).Key() {
+	if Iff(tin.BoolVar("p"), tin.BoolVar("q")).Key() != Iff(tin.BoolVar("q"), tin.BoolVar("p")).Key() {
 		t.Error("Iff is not canonically ordered")
 	}
 }
 
 func TestBoolIteExpands(t *testing.T) {
-	p, a, b := BoolVar("p"), BoolVar("a"), BoolVar("b")
+	p, a, b := tin.BoolVar("p"), tin.BoolVar("a"), tin.BoolVar("b")
 	got := Ite(p, a, b)
 	want := Or(And(p, a), And(Not(p), b))
 	if !got.Equal(want) {
@@ -82,30 +84,30 @@ func TestBoolIteExpands(t *testing.T) {
 }
 
 func TestSubst(t *testing.T) {
-	x, y := NumVar("x"), NumVar("y")
-	f := And(Lt(x, Int(5)), Eq(y, Add(x, Int(1))))
-	got := Subst(f, map[string]*Term{"x": Int(2)})
-	want := And(Lt(Int(2), Int(5)), Eq(y, Int(3)))
+	x, y := tin.NumVar("x"), tin.NumVar("y")
+	f := And(Lt(x, tin.Int(5)), Eq(y, Add(x, tin.Int(1))))
+	got := Subst(f, map[string]*Term{"x": tin.Int(2)})
+	want := And(Lt(tin.Int(2), tin.Int(5)), Eq(y, tin.Int(3)))
 	if !got.Equal(want) {
 		t.Errorf("subst got %v, want %v", got, want)
 	}
 	// Folding should kick in: Lt(2,5) is true, so the conjunct vanishes.
-	if !got.Equal(Eq(y, Int(3))) {
+	if !got.Equal(Eq(y, tin.Int(3))) {
 		t.Errorf("subst did not fold: %v", got)
 	}
 }
 
 func TestRenameVars(t *testing.T) {
-	f := And(BoolVar("p"), Lt(NumVar("x"), NumVar("y")))
+	f := And(tin.BoolVar("p"), Lt(tin.NumVar("x"), tin.NumVar("y")))
 	got := RenameVars(f, func(n string) string { return n + "'" })
-	want := And(BoolVar("p'"), Lt(NumVar("x'"), NumVar("y'")))
+	want := And(tin.BoolVar("p'"), Lt(tin.NumVar("x'"), tin.NumVar("y'")))
 	if !got.Equal(want) {
 		t.Errorf("rename got %v, want %v", got, want)
 	}
 }
 
 func TestVars(t *testing.T) {
-	f := And(BoolVar("p"), Lt(NumVar("x"), Add(NumVar("x"), NumVar("y"))))
+	f := And(tin.BoolVar("p"), Lt(tin.NumVar("x"), Add(tin.NumVar("x"), tin.NumVar("y"))))
 	vs := Vars(f)
 	if len(vs) != 3 {
 		t.Fatalf("got %d vars, want 3: %v", len(vs), vs)
@@ -122,10 +124,10 @@ func TestVars(t *testing.T) {
 }
 
 func TestTupleEq(t *testing.T) {
-	a := []*Term{NumVar("x"), BoolVar("p")}
-	b := []*Term{NumVar("y"), BoolVar("q")}
+	a := []*Term{tin.NumVar("x"), tin.BoolVar("p")}
+	b := []*Term{tin.NumVar("y"), tin.BoolVar("q")}
 	got := TupleEq(a, b)
-	want := And(Eq(NumVar("x"), NumVar("y")), Iff(BoolVar("p"), BoolVar("q")))
+	want := And(Eq(tin.NumVar("x"), tin.NumVar("y")), Iff(tin.BoolVar("p"), tin.BoolVar("q")))
 	if !got.Equal(want) {
 		t.Errorf("got %v, want %v", got, want)
 	}
@@ -187,9 +189,9 @@ var genBoolVars = []string{"p", "q"}
 func (g *termGen) numTerm(depth int) *Term {
 	if depth == 0 || g.r.Intn(3) == 0 {
 		if g.r.Intn(2) == 0 {
-			return NumVar(genNumVars[g.r.Intn(len(genNumVars))])
+			return tin.NumVar(genNumVars[g.r.Intn(len(genNumVars))])
 		}
-		return Int(int64(g.r.Intn(7) - 3))
+		return tin.Int(int64(g.r.Intn(7) - 3))
 	}
 	switch g.r.Intn(4) {
 	case 0:
@@ -199,7 +201,7 @@ func (g *termGen) numTerm(depth int) *Term {
 	case 2:
 		return Neg(g.numTerm(depth - 1))
 	default:
-		return Mul(Int(int64(g.r.Intn(5)-2)), g.numTerm(depth-1))
+		return Mul(tin.Int(int64(g.r.Intn(5)-2)), g.numTerm(depth-1))
 	}
 }
 
@@ -207,7 +209,7 @@ func (g *termGen) boolTerm(depth int) *Term {
 	if depth == 0 || g.r.Intn(4) == 0 {
 		switch g.r.Intn(4) {
 		case 0:
-			return BoolVar(genBoolVars[g.r.Intn(len(genBoolVars))])
+			return tin.BoolVar(genBoolVars[g.r.Intn(len(genBoolVars))])
 		case 1:
 			return Bool(g.r.Intn(2) == 0)
 		case 2:
@@ -242,7 +244,7 @@ func (g *termGen) randomInterp(r *rand.Rand) Interp {
 }
 
 func TestSizeAndWalk(t *testing.T) {
-	f := And(BoolVar("p"), Lt(NumVar("x"), Int(3)))
+	f := And(tin.BoolVar("p"), Lt(tin.NumVar("x"), tin.Int(3)))
 	if got := Size(f); got != 5 {
 		t.Errorf("Size = %d, want 5 for %v", got, f)
 	}

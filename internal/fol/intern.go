@@ -7,32 +7,32 @@ import (
 	"sync/atomic"
 )
 
-// Interner hash-conses terms: within one interner, structurally equal terms
-// are the same pointer, carry the same dense uint32 ID, and share one
-// eagerly computed canonical key. Downstream layers exploit this three ways:
+// Interner hash-conses terms, and is the only way a term comes to exist:
+// within one interner, structurally equal terms are the same pointer, carry
+// the same dense uint32 ID, and share one eagerly computed canonical key.
+// Downstream layers exploit this three ways:
 //
 //   - identity is a pointer (or ID) comparison instead of a tree walk or a
 //     canonical-string compare;
 //   - maps key on uint32 IDs instead of serialized strings, and formulas
 //     traverse as DAGs (visit-once per ID) instead of trees;
-//   - the lazy Key() race disappears for interned terms, because the key is
+//   - Key() is a field read, safe on shared terms, because the key is
 //     written before the node is published.
 //
-// Interners propagate by "infection": the package-level smart constructors
-// (And, Eq, Add, ...) intern their result whenever any argument is interned,
-// so code that builds formulas from interned leaves never has to thread an
-// interner handle explicitly. Leaves come from the Interner's own
-// constructors (Var, Num, App, ...), each of which also accepts a nil
-// receiver and then falls back to the legacy tree-allocating constructor —
-// one code path serves both modes.
+// Leaves come from the Interner's own constructors (Var, Num, App, ...).
+// The package-level composite constructors (And, Eq, Add, ...) build in the
+// interner of their arguments, so code that builds formulas from interned
+// leaves never has to thread an interner handle explicitly. Arguments from
+// a different interner are copied in structurally.
 //
 // The boolean singletons True/False are universal: they hold the reserved
 // IDs 0 and 1 in every interner and may mix freely with any interner's
 // terms.
 //
-// Interning only merges structurally identical terms, so it cannot change
-// the meaning of a formula; the differential tests in internal/verify assert
-// verdict parity between interned and legacy construction.
+// Interning only merges structurally identical terms, so neither sharing a
+// node nor which interner a term lives in can change the meaning of a
+// formula; the differential tests in internal/verify assert verdict parity
+// between a fresh and a shared interner.
 //
 // All methods are safe for concurrent use; an engine's workers share one
 // interner so the term DAG (and every downstream cache keyed on its IDs) is
@@ -50,17 +50,15 @@ type Interner struct {
 // term IDs collision-free across interner lifetimes.
 var internerTags atomic.Uint64
 
-// NewInterner returns an empty interner pre-seeded with the universal
-// boolean singletons at IDs 0 and 1.
+// NewInterner returns an empty interner. IDs 0 and 1 are reserved for the
+// universal boolean singletons, which no interner stores: constructors
+// return them directly and Intern passes them through.
 func NewInterner() *Interner {
-	in := &Interner{
+	return &Interner{
 		buckets: make(map[uint64][]*Term, 64),
-		n:       2, // IDs 0 and 1 are reserved for the singletons
+		n:       2,
 		tag:     internerTags.Add(1),
 	}
-	in.buckets[termTrue.hash] = []*Term{termTrue}
-	in.buckets[termFalse.hash] = []*Term{termFalse}
-	return in
 }
 
 // Tag returns a process-unique identifier for this interner. Combined with
@@ -75,54 +73,44 @@ func (in *Interner) Tag() uint64 { return in.tag }
 // pooled verifiers) poll Retired and drop state keyed on its IDs before the
 // next unit of work, so a retired epoch's DAG becomes unreachable and is
 // collected. Retiring is idempotent and safe concurrently with interning.
-func (in *Interner) Retire() {
-	if in != nil {
-		in.retired.Store(true)
-	}
-}
+func (in *Interner) Retire() { in.retired.Store(true) }
 
-// Retired reports whether Retire has been called. A nil interner is never
-// retired (legacy mode has no epochs).
-func (in *Interner) Retired() bool {
-	return in != nil && in.retired.Load()
-}
+// Retired reports whether Retire has been called.
+func (in *Interner) Retired() bool { return in.retired.Load() }
 
 // Len returns the number of distinct term nodes interned, including the two
 // singletons. It is also the exclusive upper bound of issued IDs, so
 // ID-indexed visit-once slices can be sized with it.
 func (in *Interner) Len() int {
-	if in == nil {
-		return 0
-	}
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	return int(in.n)
 }
 
-// Intern returns this interner's canonical node for t, interning the whole
-// subtree as needed. Terms already owned by this interner return in O(1).
-// Legacy terms and terms owned by a different interner are hash-consed
-// structurally (the originals are never mutated, so shared inputs stay
-// race-free). A nil interner returns t unchanged, preserving legacy
-// semantics.
+// Intern returns this interner's node for t. A term this interner already
+// owns (or a universal singleton) returns in O(1); a term owned by a
+// different interner is hash-consed structurally (the original is never
+// mutated, so shared inputs stay race-free).
 func (in *Interner) Intern(t *Term) *Term {
-	if in == nil {
+	if t.in == in || t == termTrue || t == termFalse {
 		return t
 	}
-	return in.intern(t, false)
+	return in.insert(t, false)
 }
 
-// intern is the hash-consing core. owned reports that t was freshly built by
-// a constructor in this package and is unreachable by any other goroutine,
-// so on a miss the node can be adopted in place instead of copied.
-func (in *Interner) intern(t *Term, owned bool) *Term {
-	if t == nil || t.in == in || t == termTrue || t == termFalse {
-		return t
-	}
+// adopt hash-conses a node freshly built by a constructor in this package.
+// The node is unreachable by any other goroutine, so on a miss it is
+// adopted in place instead of copied.
+func (in *Interner) adopt(t *Term) *Term { return in.insert(t, true) }
+
+// insert is the hash-consing core: it interns t's children, then returns
+// the existing node equal to t or publishes a new one. owned reports that t
+// may be published in place.
+func (in *Interner) insert(t *Term, owned bool) *Term {
 	args := t.Args
 	var copied []*Term
 	for i, a := range args {
-		ia := in.intern(a, false)
+		ia := in.Intern(a)
 		if ia != a && copied == nil {
 			copied = make([]*Term, len(args))
 			copy(copied, args)
@@ -163,49 +151,17 @@ func (in *Interner) intern(t *Term, owned bool) *Term {
 	nt.in = in
 	nt.id = in.n
 	nt.hash = h
-	// Eager canonical key: children are already keyed, so this is one
-	// concatenation per node, and the key is published before the node —
-	// interned terms never race on lazy memoization.
+	// Children are already keyed, so the key is one concatenation per node,
+	// and it is published before the node.
 	var b strings.Builder
-	nt.writeMemo(&b)
+	nt.write1(&b, (*Term).writeKey)
 	nt.key = b.String()
 	in.n++
 	in.buckets[h] = append(in.buckets[h], nt)
 	return nt
 }
 
-// adopt hash-conses a node freshly built by a smart constructor. It is the
-// nil-tolerant infection entry point: a nil receiver (no argument was
-// interned) returns the node unchanged as a legacy term.
-func (in *Interner) adopt(t *Term) *Term {
-	if in == nil {
-		return t
-	}
-	return in.intern(t, true)
-}
-
-// ownerOf returns the interner that should own a term built over args: the
-// first interned argument's interner, or nil when every argument is legacy.
-func ownerOf(args []*Term) *Interner {
-	for _, a := range args {
-		if a != nil && a.in != nil {
-			return a.in
-		}
-	}
-	return nil
-}
-
-func ownerOf2(a, b *Term) *Interner {
-	if a != nil && a.in != nil {
-		return a.in
-	}
-	if b != nil && b.in != nil {
-		return b.in
-	}
-	return nil
-}
-
-// --- leaf constructors (nil receiver = legacy fallback) --------------------
+// --- leaf constructors -----------------------------------------------------
 
 // True returns the universal boolean constant true (ID 0).
 func (in *Interner) True() *Term { return termTrue }
@@ -218,10 +174,7 @@ func (in *Interner) Bool(v bool) *Term { return Bool(v) }
 
 // Var returns the interned variable of the given sort.
 func (in *Interner) Var(name string, s Sort) *Term {
-	if in == nil {
-		return Var(name, s)
-	}
-	return in.intern(&Term{Kind: KVar, Sort: s, Name: name}, true)
+	return in.adopt(&Term{Kind: KVar, Sort: s, Name: name})
 }
 
 // NumVar returns the interned numeric variable named name.
@@ -232,29 +185,21 @@ func (in *Interner) BoolVar(name string) *Term { return in.Var(name, SortBool) }
 
 // Num returns the interned numeric constant with value r (copied).
 func (in *Interner) Num(r *big.Rat) *Term {
-	if in == nil {
-		return Num(r)
-	}
-	return in.intern(&Term{Kind: KNum, Sort: SortNum, Rat: new(big.Rat).Set(r)}, true)
+	return in.adopt(&Term{Kind: KNum, Sort: SortNum, Rat: new(big.Rat).Set(r)})
 }
 
 // Int returns the interned numeric constant with integer value v.
 func (in *Interner) Int(v int64) *Term {
-	if in == nil {
-		return Int(v)
-	}
-	return in.intern(&Term{Kind: KNum, Sort: SortNum, Rat: big.NewRat(v, 1)}, true)
+	return in.adopt(&Term{Kind: KNum, Sort: SortNum, Rat: big.NewRat(v, 1)})
 }
 
-// App returns the interned uninterpreted application. Unlike the composite
-// smart constructors, App must be called on the interner explicitly when all
-// args are legacy or absent (a zero-argument application has nothing to
-// infect from).
+// App returns the interned uninterpreted function application with the
+// given result sort. A zero-argument application is an uninterpreted
+// constant. Applications are always built here, never by the composite
+// constructors: an application of no interned argument (a constant, or one
+// over the boolean singletons) has no argument to take an interner from.
 func (in *Interner) App(name string, s Sort, args ...*Term) *Term {
-	if in == nil {
-		return App(name, s, args...)
-	}
-	return in.intern(&Term{Kind: KApp, Sort: s, Name: name, Args: args}, true)
+	return in.adopt(&Term{Kind: KApp, Sort: s, Name: name, Args: args})
 }
 
 // --- structural hashing ----------------------------------------------------

@@ -7,18 +7,24 @@ import (
 )
 
 // buildSample builds one moderately shaped formula through the package
-// constructors, with leaves from in (nil = legacy).
+// constructors, with leaves from in.
 func buildSample(in *Interner, i int) *Term {
 	x := in.NumVar("x")
 	y := in.NumVar(fmt.Sprintf("y%d", i%7))
 	f := in.App("f", SortNum, x, y)
 	p := in.BoolVar("p")
 	return And(
-		Or(p, Lt(Add(x, Mul(Int(2), y)), f)),
+		Or(p, Lt(Add(x, Mul(in.Int(2), y)), f)),
 		Eq(Add(x, y), Add(y, x)),
 		Implies(Le(x, y), Le(Neg(y), Neg(x))),
 		Eq(Ite(p, x, y), f),
 	)
+}
+
+// ownedBy reports whether u belongs to in: owned by it, or a universal
+// singleton.
+func ownedBy(u *Term, in *Interner) bool {
+	return u.Owner() == in || u == True() || u == False()
 }
 
 func TestInternPointerIdentity(t *testing.T) {
@@ -28,14 +34,14 @@ func TestInternPointerIdentity(t *testing.T) {
 	if a != b {
 		t.Fatalf("structurally equal interned terms are different pointers:\n%s\n%s", a, b)
 	}
-	if !a.Interned() || a.ID() < 2 {
-		t.Fatalf("root not interned or carries a reserved ID: interned=%v id=%d", a.Interned(), a.ID())
+	if a.Owner() != in || a.ID() < 2 {
+		t.Fatalf("root not owned by its interner or carries a reserved ID: id=%d", a.ID())
 	}
 	// Every subterm is interned in the same DAG, and IDs identify nodes.
 	byID := make(map[uint32]*Term)
 	Walk(a, func(u *Term) bool {
-		if !u.Interned() {
-			t.Fatalf("uninterned subterm %s under interned root", u)
+		if !ownedBy(u, in) {
+			t.Fatalf("subterm %s owned by another interner", u)
 		}
 		if prev, ok := byID[u.ID()]; ok && prev != u {
 			t.Fatalf("ID %d names two distinct nodes %s and %s", u.ID(), prev, u)
@@ -56,53 +62,36 @@ func TestInternSingletons(t *testing.T) {
 	if True().ID() != 0 || False().ID() != 1 {
 		t.Fatalf("singleton IDs: true=%d false=%d, want 0 and 1", True().ID(), False().ID())
 	}
-	// Interning a structural copy of a singleton yields the singleton.
-	if got := in.Intern(&Term{Kind: KTrue, Sort: SortBool}); got != True() {
-		t.Fatalf("interned copy of true is %p, want the singleton", got)
+	if True().Key() != "true" || False().Key() != "false" {
+		t.Fatalf("singleton keys: %q, %q", True().Key(), False().Key())
 	}
 	if in2 := NewInterner(); in2.Tag() == in.Tag() {
 		t.Fatal("two interners share a tag")
 	}
 }
 
-func TestInternLegacyParity(t *testing.T) {
-	// The same construction through an interner and through the legacy
-	// tree path must produce byte-identical canonical forms: constructors
-	// sort by canonical key, never by ID, precisely so that interning
-	// cannot change a formula's shape.
-	in := NewInterner()
+// TestKeyMatchesString pins the eager key: Key(), assembled at intern time
+// from the children's keys, must equal String(), a full re-walk of the
+// tree, on every subterm. And the key is interner-independent — the same
+// construction in two interners yields the same key — which is what lets
+// the durable store key verdicts across interner epochs and processes.
+func TestKeyMatchesString(t *testing.T) {
+	inA, inB := NewInterner(), NewInterner()
 	for i := 0; i < 7; i++ {
-		a := buildSample(in, i)
-		b := buildSample(nil, i)
-		if b.Interned() {
-			t.Fatal("legacy build produced an interned term")
+		a := buildSample(inA, i)
+		Walk(a, func(u *Term) bool {
+			if u.Key() != u.String() {
+				t.Fatalf("eager key diverges from the re-walk:\nkey    %s\nstring %s", u.Key(), u.String())
+			}
+			return true
+		})
+		b := buildSample(inB, i)
+		if a.Key() != b.Key() {
+			t.Fatalf("two interners key one construction differently:\n%s\n%s", a.Key(), b.Key())
 		}
-		if Canonical(a) != Canonical(b) {
-			t.Fatalf("canonical forms diverge:\ninterned %s\nlegacy   %s", Canonical(a), Canonical(b))
+		if a == b || !a.Equal(b) {
+			t.Fatal("Equal rejects a structurally equal cross-interner pair")
 		}
-		if !a.Equal(b) {
-			t.Fatal("Equal rejects structurally equal interned/legacy pair")
-		}
-	}
-}
-
-func TestInternAdoptsLegacySubtrees(t *testing.T) {
-	in := NewInterner()
-	legacy := buildSample(nil, 2)
-	interned := in.Intern(legacy)
-	if legacy.Interned() {
-		t.Fatal("Intern mutated a shared legacy term")
-	}
-	if interned == legacy || !interned.Interned() {
-		t.Fatal("Intern returned the legacy node")
-	}
-	if interned != buildSample(in, 2) {
-		t.Fatal("interned copy of a legacy tree is not the canonical node")
-	}
-	// A second intern of the same structure is a pure lookup.
-	n := in.Len()
-	if in.Intern(buildSample(nil, 2)) != interned || in.Len() != n {
-		t.Fatal("re-interning an existing structure grew the DAG")
 	}
 }
 
@@ -110,27 +99,31 @@ func TestInternMixedInterners(t *testing.T) {
 	inA, inB := NewInterner(), NewInterner()
 	a := buildSample(inA, 1)
 	b := inB.Intern(a)
-	if b == a {
+	if b == a || b.Owner() != inB {
 		t.Fatal("intern across interners returned the foreign node")
 	}
-	if Canonical(a) != Canonical(b) {
+	if a.Key() != b.Key() {
 		t.Fatal("cross-interner intern changed the canonical form")
 	}
-	// Infection from mixed arguments picks one interner and rebuilds the
+	if inB.Intern(a) != b {
+		t.Fatal("re-interning a foreign term is not a lookup")
+	}
+	// A constructor over mixed arguments picks one interner and copies the
 	// foreign argument into it, so the result's DAG is self-consistent.
 	mixed := And(a, Not(b))
+	owner := mixed.Owner()
 	Walk(mixed, func(u *Term) bool {
-		if !u.Interned() {
-			t.Fatalf("uninterned node %s in mixed-interner formula", u)
+		if !ownedBy(u, owner) {
+			t.Fatalf("node %s owned by another interner in a mixed-interner formula", u)
 		}
 		return true
 	})
 }
 
-// TestKeyRaceInterned is the -race regression for the lazy Term.key
-// memoization: many goroutines hammer Key() on one shared non-singleton
-// term. For interned terms the key is published at intern time, before any
-// goroutine can hold the pointer, so this must be race-free.
+// TestKeyRaceInterned is the -race regression for key publication: many
+// goroutines hammer Key() on one shared non-singleton term. The key is
+// published at intern time, before any goroutine can hold the pointer, so
+// this must be race-free.
 func TestKeyRaceInterned(t *testing.T) {
 	in := NewInterner()
 	shared := buildSample(in, 5)
@@ -144,8 +137,8 @@ func TestKeyRaceInterned(t *testing.T) {
 					t.Error("empty key on interned term")
 					return
 				}
-				if Canonical(shared) != shared.Key() {
-					t.Error("Canonical and Key diverge")
+				if shared.String() != shared.Key() {
+					t.Error("String and Key diverge")
 					return
 				}
 			}
@@ -184,12 +177,6 @@ func BenchmarkIntern(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			buildSample(in, i%7)
-		}
-	})
-	b.Run("legacy", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			buildSample(nil, i%7)
 		}
 	})
 }

@@ -7,10 +7,8 @@ import (
 )
 
 var (
-	// The boolean singletons are shared by every goroutine in the process,
-	// so their lazily-memoized canonical keys are pre-computed here: a
-	// first Key() call from two goroutines at once would otherwise race on
-	// the key field.
+	// The boolean singletons belong to no interner, so their canonical keys
+	// are set here rather than at intern time.
 	termTrue  = &Term{Kind: KTrue, Sort: SortBool, key: "true"}
 	termFalse = &Term{Kind: KFalse, Sort: SortBool, key: "false"}
 	ratZero   = new(big.Rat)
@@ -31,29 +29,11 @@ func Bool(v bool) *Term {
 	return termFalse
 }
 
-// NumVar returns a numeric variable named name.
-func NumVar(name string) *Term { return &Term{Kind: KVar, Sort: SortNum, Name: name} }
-
-// BoolVar returns a boolean variable named name.
-func BoolVar(name string) *Term { return &Term{Kind: KVar, Sort: SortBool, Name: name} }
-
-// Var returns a variable of the given sort.
-func Var(name string, s Sort) *Term { return &Term{Kind: KVar, Sort: s, Name: name} }
-
-// Num returns a numeric constant with value r. The rational is copied.
-func Num(r *big.Rat) *Term {
-	return &Term{Kind: KNum, Sort: SortNum, Rat: new(big.Rat).Set(r)}
-}
-
-// Int returns a numeric constant with integer value v.
-func Int(v int64) *Term {
-	return &Term{Kind: KNum, Sort: SortNum, Rat: big.NewRat(v, 1)}
-}
-
 // Add returns the sum of ts as a normalized linear combination: nested sums
 // flatten, constants fold, and like terms combine (so x - x folds to 0).
+// ts must not be empty: the sum is built in the first term's interner.
 func Add(ts ...*Term) *Term {
-	owner := ownerOf(ts)
+	owner := ts[0].in
 	acc := new(big.Rat)
 	coeffs := make(map[string]*big.Rat)
 	terms := make(map[string]*Term)
@@ -133,9 +113,10 @@ func Sub(a, b *Term) *Term { return Add(a, Neg(b)) }
 
 // Mul returns the product of ts, flattening and folding constants. Products
 // of two or more non-constant factors are non-linear; the SMT layer treats
-// them as uninterpreted.
+// them as uninterpreted. ts must not be empty: the product is built in the
+// first term's interner.
 func Mul(ts ...*Term) *Term {
-	owner := ownerOf(ts)
+	owner := ts[0].in
 	args := make([]*Term, 0, len(ts))
 	acc := new(big.Rat).Set(ratOne)
 	for _, t := range ts {
@@ -175,9 +156,9 @@ func Mul(ts ...*Term) *Term {
 // by the solver).
 func Div(a, b *Term) *Term {
 	if b.Kind == KNum && b.Rat.Sign() != 0 {
-		return Mul(a, Num(new(big.Rat).Inv(b.Rat)))
+		return Mul(a, b.in.Num(new(big.Rat).Inv(b.Rat)))
 	}
-	return ownerOf2(a, b).adopt(&Term{Kind: KDiv, Sort: SortNum, Args: []*Term{a, b}})
+	return a.in.adopt(&Term{Kind: KDiv, Sort: SortNum, Args: []*Term{a, b}})
 }
 
 // Eq returns the numeric equality a = b, with constant folding and canonical
@@ -192,7 +173,7 @@ func Eq(a, b *Term) *Term {
 	if a.Key() > b.Key() {
 		a, b = b, a
 	}
-	return ownerOf2(a, b).adopt(&Term{Kind: KEq, Sort: SortBool, Args: []*Term{a, b}})
+	return a.in.adopt(&Term{Kind: KEq, Sort: SortBool, Args: []*Term{a, b}})
 }
 
 // Le returns a <= b with constant folding.
@@ -203,7 +184,7 @@ func Le(a, b *Term) *Term {
 	if a.Equal(b) {
 		return True()
 	}
-	return ownerOf2(a, b).adopt(&Term{Kind: KLe, Sort: SortBool, Args: []*Term{a, b}})
+	return a.in.adopt(&Term{Kind: KLe, Sort: SortBool, Args: []*Term{a, b}})
 }
 
 // Lt returns a < b with constant folding.
@@ -214,7 +195,7 @@ func Lt(a, b *Term) *Term {
 	if a.Equal(b) {
 		return False()
 	}
-	return ownerOf2(a, b).adopt(&Term{Kind: KLt, Sort: SortBool, Args: []*Term{a, b}})
+	return a.in.adopt(&Term{Kind: KLt, Sort: SortBool, Args: []*Term{a, b}})
 }
 
 // Ge returns a >= b.
@@ -251,7 +232,6 @@ func And(ts ...*Term) *Term { return nary(KAnd, ts) }
 func Or(ts ...*Term) *Term { return nary(KOr, ts) }
 
 func nary(k Kind, ts []*Term) *Term {
-	owner := ownerOf(ts)
 	unit, zero := termTrue, termFalse
 	if k == KOr {
 		unit, zero = termFalse, termTrue
@@ -296,7 +276,8 @@ func nary(k Kind, ts []*Term) *Term {
 	case 1:
 		return args[0]
 	}
-	return owner.adopt(&Term{Kind: k, Sort: SortBool, Args: args})
+	// Units and zeros were dropped, so no argument is a singleton.
+	return args[0].in.adopt(&Term{Kind: k, Sort: SortBool, Args: args})
 }
 
 // Implies returns a => b, represented as ¬a ∨ b.
@@ -322,7 +303,7 @@ func Iff(a, b *Term) *Term {
 	if a.Key() > b.Key() {
 		a, b = b, a
 	}
-	return ownerOf2(a, b).adopt(&Term{Kind: KIff, Sort: SortBool, Args: []*Term{a, b}})
+	return a.in.adopt(&Term{Kind: KIff, Sort: SortBool, Args: []*Term{a, b}})
 }
 
 // Ite returns if-then-else. Boolean-sorted ITEs expand into connectives;
@@ -343,20 +324,7 @@ func Ite(cond, then, els *Term) *Term {
 	if then.Sort == SortBool {
 		return Or(And(cond, then), And(Not(cond), els))
 	}
-	owner := ownerOf2(cond, then)
-	if owner == nil {
-		owner = els.in
-	}
-	return owner.adopt(&Term{Kind: KIte, Sort: SortNum, Args: []*Term{cond, then, els}})
-}
-
-// App returns an uninterpreted function application with the given result
-// sort. A zero-argument application is an uninterpreted constant. Like all
-// composite constructors, App interns its result when any argument is
-// interned; a zero-argument application has nothing to infect from, so
-// interned code paths call Interner.App instead.
-func App(name string, s Sort, args ...*Term) *Term {
-	return ownerOf(args).adopt(&Term{Kind: KApp, Sort: s, Name: name, Args: args})
+	return then.in.adopt(&Term{Kind: KIte, Sort: SortNum, Args: []*Term{cond, then, els}})
 }
 
 // TupleEq returns the conjunction of element-wise equalities between two

@@ -4,70 +4,30 @@ import (
 	"strings"
 )
 
-// String renders t as an s-expression. The rendering is canonical: two terms
-// render identically iff they are structurally equal, so it doubles as a map
-// key (see Key).
+// String renders t as an s-expression by walking the whole tree. The
+// rendering is canonical: two terms render identically iff they are
+// structurally equal. It always equals Key.
 func (t *Term) String() string {
 	var b strings.Builder
 	t.write(&b)
 	return b.String()
 }
 
-// Key returns the canonical form of t. Interned terms carry their key
-// eagerly from intern time, so for them Key is a race-free field read no
-// matter how many goroutines share the term. Legacy terms memoize on first
-// use: they are immutable, so memoization is safe, but the lazy write means
-// Key must only be called on legacy terms owned by a single goroutine (plus
-// the pre-keyed True/False singletons); for legacy terms shared across
-// goroutines use Canonical instead.
-func (t *Term) Key() string {
-	if t.key == "" {
-		var b strings.Builder
-		t.writeMemo(&b)
-		t.key = b.String()
-	}
-	return t.key
-}
-
-// Canonical returns the canonical serialization of t without touching the
-// lazily memoized key of legacy terms. Two terms serialize identically iff
-// they are structurally equal, so the result is a sound cache key for
-// solver obligations. Unlike Key, Canonical never writes term state and
-// only reads keys that were published eagerly at intern time, so it is safe
-// to call on terms shared across goroutines.
-func Canonical(t *Term) string {
-	var b strings.Builder
-	t.writeCanonical(&b)
-	return b.String()
-}
-
-// writeMemo renders t, short-circuiting through memoized keys. Building a
-// parent key is then one concatenation of child keys rather than a full
-// subtree walk, which is what makes eager keys at intern time cheap. Only
-// safe where reading t.key is safe: interned terms, or legacy terms owned
-// by the calling goroutine.
-func (t *Term) writeMemo(b *strings.Builder) {
-	if t.key != "" {
-		b.WriteString(t.key)
-		return
-	}
-	t.write1(b, (*Term).writeMemo)
-}
-
-// writeCanonical renders t reading only eagerly published keys (interned
-// terms), never a legacy term's lazily memoized field.
-func (t *Term) writeCanonical(b *strings.Builder) {
-	if t.in != nil || t == termTrue || t == termFalse {
-		b.WriteString(t.key)
-		return
-	}
-	t.write1(b, (*Term).writeCanonical)
-}
+// Key returns the canonical form of t (the String rendering). It is
+// computed once, when the term is interned, and published with the node,
+// so Key is a race-free field read however many goroutines share the term.
+// Being interner-independent, it is the key of choice wherever a term must
+// be identified across interners or processes (the durable store).
+func (t *Term) Key() string { return t.key }
 
 func (t *Term) write(b *strings.Builder) { t.write1(b, (*Term).write) }
 
+// writeKey renders t through its published key; keying a new node is then
+// one concatenation of its children's keys rather than a subtree walk.
+func (t *Term) writeKey(b *strings.Builder) { b.WriteString(t.key) }
+
 // write1 renders one node, recursing through rec so callers choose how
-// children are rendered (pure re-walk, or short-circuit through keys).
+// children are rendered (full re-walk, or through their keys).
 func (t *Term) write1(b *strings.Builder, rec func(*Term, *strings.Builder)) {
 	switch t.Kind {
 	case KVar:

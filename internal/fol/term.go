@@ -1,8 +1,9 @@
 // Package fol implements the first-order-logic term language that SPES uses
-// for symbolic representations of queries. Terms are immutable trees over two
-// sorts (numeric and boolean). The package provides smart constructors that
-// perform light normalization (flattening, constant folding), plus
-// substitution, traversal, and printing utilities.
+// for symbolic representations of queries. Terms are immutable and
+// hash-consed by an Interner, over two sorts (numeric and boolean). The
+// package provides smart constructors that perform light normalization
+// (flattening, constant folding), plus substitution, traversal, and
+// printing utilities.
 //
 // The numeric sort models SQL values uniformly as rationals; string constants
 // are interned to numeric constants by the symbolic encoder, and operations
@@ -81,9 +82,13 @@ var kindNames = map[Kind]string{
 
 func (k Kind) String() string { return kindNames[k] }
 
-// Term is an immutable FOL term. Construct terms only through the package's
-// constructor functions, which establish the invariants the solver relies on
-// (sorts line up, n-ary connectives are flattened, constants are folded).
+// Term is an immutable FOL term. Every term is owned by an Interner, which
+// hash-conses it; the only exceptions are the boolean constants True and
+// False, universal singletons that belong to every interner at once.
+// Construct terms only through an Interner's leaf constructors and the
+// package's composite constructors, which establish the invariants the
+// solver relies on (sorts line up, n-ary connectives are flattened,
+// constants are folded).
 type Term struct {
 	Kind Kind
 	Sort Sort
@@ -91,31 +96,23 @@ type Term struct {
 	Rat  *big.Rat // numeric constant value
 	Args []*Term
 
-	key  string    // memoized canonical form; eager for interned terms, lazy otherwise
-	in   *Interner // owning interner, nil for legacy (tree-allocated) terms
+	key  string    // canonical form, computed at intern time
+	in   *Interner // owning interner; nil only for the boolean singletons
 	id   uint32    // dense per-interner node ID; 0/1 are the boolean singletons
 	hash uint64    // structural hash, computed at intern time
 }
 
-// ID returns the term's dense interner-scoped node ID. IDs are only
-// meaningful for interned terms (see Interner): within one interner,
+// ID returns the term's dense interner-scoped node ID: within one interner,
 // structural equality, pointer identity, and ID equality coincide. The
 // boolean singletons carry the fixed IDs 0 (true) and 1 (false) in every
-// interner. For legacy terms ID returns 0 and must not be used as a key.
+// interner.
 func (t *Term) ID() uint32 { return t.id }
 
 // Hash returns the term's structural hash, computed once at intern time.
-// It is 0 for legacy terms (other than the pre-hashed singletons).
 func (t *Term) Hash() uint64 { return t.hash }
 
-// Interned reports whether t is owned by an interner (or is one of the
-// universal boolean singletons, which act as members of every interner).
-func (t *Term) Interned() bool {
-	return t.in != nil || t == termTrue || t == termFalse
-}
-
-// Owner returns the interner that owns t, or nil for legacy terms and for
-// the universal singletons (which belong to every interner at once).
+// Owner returns the interner that owns t, or nil for the universal
+// singletons (which belong to every interner at once).
 func (t *Term) Owner() *Interner { return t.in }
 
 // IsConst reports whether t is a constant (numeric or boolean).
@@ -144,9 +141,9 @@ func (t *Term) Equal(u *Term) bool {
 	if t == nil || u == nil {
 		return false
 	}
-	if t.in != nil && t.in == u.in {
-		// Hash-consed by the same interner: structural equality is pointer
-		// identity, and the pointers differ.
+	if t.in == u.in {
+		// Hash-consed by the same interner (or both singletons): structural
+		// equality is pointer identity, and the pointers differ.
 		return false
 	}
 	if t.Kind != u.Kind || t.Sort != u.Sort || t.Name != u.Name || len(t.Args) != len(u.Args) {

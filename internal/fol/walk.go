@@ -1,5 +1,7 @@
 package fol
 
+import "fmt"
+
 // Walk calls fn for t and every sub-term of t, pre-order. If fn returns
 // false, the sub-terms of the current term are skipped.
 func Walk(t *Term, fn func(*Term) bool) {
@@ -60,8 +62,7 @@ func Subst(t *Term, m map[string]*Term) *Term {
 
 // RenameVars returns t with every variable renamed through fn, together with
 // hitting the smart constructors again. Renamed variables stay in the
-// original's interner, so a rename of an interned formula yields a fully
-// interned formula.
+// original variable's interner.
 func RenameVars(t *Term, fn func(name string) string) *Term {
 	return rebuild(t, func(u *Term) (*Term, bool) {
 		if u.Kind == KVar {
@@ -94,6 +95,13 @@ func rebuild(t *Term, leaf func(*Term) (*Term, bool)) *Term {
 	if !changed {
 		return t
 	}
+	return t.WithArgs(args)
+}
+
+// WithArgs rebuilds a composite term over new arguments through the smart
+// constructors, so folding invariants are restored (an application stays in
+// t's interner). args must match t's arity and sorts.
+func (t *Term) WithArgs(args []*Term) *Term {
 	switch t.Kind {
 	case KAdd:
 		return Add(args...)
@@ -120,9 +128,9 @@ func rebuild(t *Term, leaf func(*Term) (*Term, bool)) *Term {
 	case KIte:
 		return Ite(args[0], args[1], args[2])
 	case KApp:
-		return App(t.Name, t.Sort, args...)
+		return t.in.App(t.Name, t.Sort, args...)
 	}
-	return ownerOf(args).adopt(&Term{Kind: t.Kind, Sort: t.Sort, Name: t.Name, Rat: t.Rat, Args: args})
+	panic(fmt.Sprintf("fol: WithArgs on leaf kind %v", t.Kind))
 }
 
 // Size returns the number of nodes in t.

@@ -48,7 +48,11 @@ type SatCache interface {
 
 // Normalizer rewrites plans. Safe to reuse across plans; not concurrent.
 type Normalizer struct {
-	opts   Options
+	opts Options
+	// solver and enc back the empty-table check (predSatisfiable). They are
+	// created, together with the interner they share, on the first
+	// satisfiability-cache miss: most normalizations are answered from the
+	// caches and never build a term.
 	solver *smt.Solver
 	enc    *symbolic.Encoder
 	// satCache memoizes predicate satisfiability by canonical form.
@@ -61,12 +65,7 @@ type Normalizer struct {
 
 // New returns a Normalizer.
 func New(opts Options) *Normalizer {
-	return &Normalizer{
-		opts:     opts,
-		solver:   smt.New(),
-		enc:      symbolic.NewEncoder(symbolic.NewGen()),
-		satCache: make(map[string]bool),
-	}
+	return &Normalizer{opts: opts, satCache: make(map[string]bool)}
 }
 
 // SetSatCache attaches a shared predicate-satisfiability cache behind the
@@ -303,6 +302,16 @@ func (nz *Normalizer) predSatisfiable(s *plan.SPJ) bool {
 			nz.satCache[key] = v
 			return v
 		}
+	}
+	if nz.enc == nil {
+		// The interner is the normalizer's own, not an engine's: the terms
+		// built here never reach a verifier, and keeping them out of the
+		// engine's DAG leaves its size, rotation points and obligation-cache
+		// keys independent of normalization.
+		tin := fol.NewInterner()
+		nz.enc = symbolic.NewEncoder(symbolic.NewGen(tin))
+		nz.solver = smt.New()
+		nz.solver.Interner = tin
 	}
 	// nnTag holds one byte per input column in flat tuple order, so index i
 	// addresses in[i] directly.

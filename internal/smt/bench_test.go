@@ -37,8 +37,8 @@ func BenchmarkCongruenceClosure(b *testing.B) {
 	x := make([]*fol.Term, 30)
 	f := make([]*fol.Term, 30)
 	for i := range x {
-		x[i] = fol.NumVar(varName("x", i))
-		f[i] = fol.App("f", fol.SortNum, x[i])
+		x[i] = tin.NumVar(varName("x", i))
+		f[i] = tin.App("f", fol.SortNum, x[i])
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -57,10 +57,10 @@ func BenchmarkCongruenceClosure(b *testing.B) {
 }
 
 func BenchmarkValidityLinear(b *testing.B) {
-	x, y, z := fol.NumVar("x"), fol.NumVar("y"), fol.NumVar("z")
+	x, y, z := tin.NumVar("x"), tin.NumVar("y"), tin.NumVar("z")
 	obligation := fol.Implies(
-		fol.And(fol.Lt(x, y), fol.Lt(y, z), fol.Ge(x, fol.Int(0))),
-		fol.Gt(z, fol.Int(0)))
+		fol.And(fol.Lt(x, y), fol.Lt(y, z), fol.Ge(x, tin.Int(0))),
+		fol.Gt(z, tin.Int(0)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s := New()
@@ -71,9 +71,9 @@ func BenchmarkValidityLinear(b *testing.B) {
 }
 
 func BenchmarkValidityWithUF(b *testing.B) {
-	x, y := fol.NumVar("x"), fol.NumVar("y")
-	fx := fol.App("f", fol.SortNum, x)
-	fy := fol.App("f", fol.SortNum, y)
+	x, y := tin.NumVar("x"), tin.NumVar("y")
+	fx := tin.App("f", fol.SortNum, x)
+	fy := tin.App("f", fol.SortNum, y)
 	obligation := fol.Implies(fol.And(fol.Le(x, y), fol.Le(y, x)), fol.Eq(fx, fy))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -87,18 +87,18 @@ func BenchmarkValidityWithUF(b *testing.B) {
 func BenchmarkDisjunctiveObligation(b *testing.B) {
 	// The union-shaped formulas the case splitter targets.
 	mk := func(tag string) *fol.Term {
-		u := fol.NumVar("u" + tag)
-		a := fol.NumVar("a" + tag)
-		c := fol.NumVar("c" + tag)
+		u := tin.NumVar("u" + tag)
+		a := tin.NumVar("a" + tag)
+		c := tin.NumVar("c" + tag)
 		return fol.Or(
-			fol.And(fol.Eq(u, a), fol.Gt(a, fol.Int(0))),
-			fol.And(fol.Eq(u, c), fol.Le(c, fol.Int(0))))
+			fol.And(fol.Eq(u, a), fol.Gt(a, tin.Int(0))),
+			fol.And(fol.Eq(u, c), fol.Le(c, tin.Int(0))))
 	}
-	u1, u2 := fol.NumVar("u1"), fol.NumVar("u2")
+	u1, u2 := tin.NumVar("u1"), tin.NumVar("u2")
 	obligation := fol.Implies(
-		fol.And(mk("1"), mk("2"), fol.Eq(fol.NumVar("a1"), fol.NumVar("a2")),
-			fol.Eq(fol.NumVar("c1"), fol.NumVar("c2")),
-			fol.Eq(u1, fol.NumVar("u1")), fol.Eq(u2, fol.NumVar("u2"))),
+		fol.And(mk("1"), mk("2"), fol.Eq(tin.NumVar("a1"), tin.NumVar("a2")),
+			fol.Eq(tin.NumVar("c1"), tin.NumVar("c2")),
+			fol.Eq(u1, tin.NumVar("u1")), fol.Eq(u2, tin.NumVar("u2"))),
 		fol.True())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

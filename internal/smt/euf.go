@@ -13,13 +13,9 @@ import (
 // detection. Numeric and boolean constants carry distinct interpretations:
 // merging two classes holding different constants is a conflict.
 //
-// Node identity keys on interned term IDs: the solver path hands the engine
-// terms already interned in the solver's interner, so registration is a
-// uint32 map hit; legacy terms (direct unit-test use) are adopted into a
-// lazily created private interner, which preserves the old key-string
-// semantics at the cost of one structural intern per term.
+// Node identity keys on term IDs, so registration is a uint32 map hit: all
+// terms an engine sees must belong to one interner (the solver's).
 type euf struct {
-	in       *fol.Interner
 	ids      map[uint32]int // term ID -> node
 	terms    []*fol.Term    // node -> term
 	parent   []int          // union-find
@@ -94,13 +90,8 @@ func (e *euf) undo(m eufMark) {
 	e.recording = false
 }
 
-func newEUF() *euf { return newEUFIn(nil) }
-
-// newEUFIn binds the engine to an interner so that already-interned terms
-// register without re-interning; nil defers to a private interner created
-// on first use.
-func newEUFIn(in *fol.Interner) *euf {
-	return &euf{in: in, ids: make(map[uint32]int), sigs: make(map[string]int)}
+func newEUF() *euf {
+	return &euf{ids: make(map[uint32]int), sigs: make(map[string]int)}
 }
 
 // funcSymbol maps a term's head to an uninterpreted function symbol, or ""
@@ -136,12 +127,6 @@ func constTag(t *fol.Term) string {
 
 // node registers t (and its subterms) and returns its node id.
 func (e *euf) node(t *fol.Term) int {
-	if e.in == nil {
-		if e.in = t.Owner(); e.in == nil {
-			e.in = fol.NewInterner()
-		}
-	}
-	t = e.in.Intern(t)
 	if id, ok := e.ids[t.ID()]; ok {
 		return id
 	}
@@ -306,10 +291,7 @@ func (e *euf) equal(t1, t2 *fol.Term) bool {
 
 // lookup returns the node id for t without registering it.
 func (e *euf) lookup(t *fol.Term) (int, bool) {
-	if e.in == nil {
-		return 0, false
-	}
-	id, ok := e.ids[e.in.Intern(t).ID()]
+	id, ok := e.ids[t.ID()]
 	return id, ok
 }
 

@@ -8,7 +8,7 @@ import (
 
 func TestEUFTransitivity(t *testing.T) {
 	e := newEUF()
-	x, y, z := fol.NumVar("x"), fol.NumVar("y"), fol.NumVar("z")
+	x, y, z := tin.NumVar("x"), tin.NumVar("y"), tin.NumVar("z")
 	e.assertEq(x, y)
 	e.assertEq(y, z)
 	if !e.equal(x, z) {
@@ -21,9 +21,9 @@ func TestEUFTransitivity(t *testing.T) {
 
 func TestEUFCongruence(t *testing.T) {
 	e := newEUF()
-	x, y := fol.NumVar("x"), fol.NumVar("y")
-	fx := fol.App("f", fol.SortNum, x)
-	fy := fol.App("f", fol.SortNum, y)
+	x, y := tin.NumVar("x"), tin.NumVar("y")
+	fx := tin.App("f", fol.SortNum, x)
+	fy := tin.App("f", fol.SortNum, y)
 	e.node(fx)
 	e.node(fy)
 	if e.equal(fx, fy) {
@@ -37,9 +37,9 @@ func TestEUFCongruence(t *testing.T) {
 
 func TestEUFNestedCongruence(t *testing.T) {
 	e := newEUF()
-	x, y := fol.NumVar("x"), fol.NumVar("y")
-	ffx := fol.App("f", fol.SortNum, fol.App("f", fol.SortNum, x))
-	ffy := fol.App("f", fol.SortNum, fol.App("f", fol.SortNum, y))
+	x, y := tin.NumVar("x"), tin.NumVar("y")
+	ffx := tin.App("f", fol.SortNum, tin.App("f", fol.SortNum, x))
+	ffy := tin.App("f", fol.SortNum, tin.App("f", fol.SortNum, y))
 	e.node(ffx)
 	e.node(ffy)
 	e.assertEq(x, y)
@@ -50,7 +50,7 @@ func TestEUFNestedCongruence(t *testing.T) {
 
 func TestEUFDiseqConflict(t *testing.T) {
 	e := newEUF()
-	x, y, z := fol.NumVar("x"), fol.NumVar("y"), fol.NumVar("z")
+	x, y, z := tin.NumVar("x"), tin.NumVar("y"), tin.NumVar("z")
 	e.assertDiseq(x, z)
 	e.assertEq(x, y)
 	if e.conflict {
@@ -65,9 +65,9 @@ func TestEUFDiseqConflict(t *testing.T) {
 func TestEUFCongruenceDiseqConflict(t *testing.T) {
 	// f(x) ≠ f(y) ∧ x = y is inconsistent.
 	e := newEUF()
-	x, y := fol.NumVar("x"), fol.NumVar("y")
-	fx := fol.App("f", fol.SortNum, x)
-	fy := fol.App("f", fol.SortNum, y)
+	x, y := tin.NumVar("x"), tin.NumVar("y")
+	fx := tin.App("f", fol.SortNum, x)
+	fy := tin.App("f", fol.SortNum, y)
 	e.assertDiseq(fx, fy)
 	e.assertEq(x, y)
 	if !e.conflict {
@@ -77,12 +77,12 @@ func TestEUFCongruenceDiseqConflict(t *testing.T) {
 
 func TestEUFConstantConflict(t *testing.T) {
 	e := newEUF()
-	x := fol.NumVar("x")
-	e.assertEq(x, fol.Int(1))
+	x := tin.NumVar("x")
+	e.assertEq(x, tin.Int(1))
 	if e.conflict {
 		t.Fatal("no conflict yet")
 	}
-	e.assertEq(x, fol.Int(2))
+	e.assertEq(x, tin.Int(2))
 	if !e.conflict {
 		t.Error("x=1 ∧ x=2 should conflict")
 	}
@@ -91,9 +91,9 @@ func TestEUFConstantConflict(t *testing.T) {
 func TestEUFBoolConstants(t *testing.T) {
 	// p(x) = true ∧ p(y) = false ∧ x = y conflicts.
 	e := newEUF()
-	x, y := fol.NumVar("x"), fol.NumVar("y")
-	px := fol.App("p", fol.SortBool, x)
-	py := fol.App("p", fol.SortBool, y)
+	x, y := tin.NumVar("x"), tin.NumVar("y")
+	px := tin.App("p", fol.SortBool, x)
+	py := tin.App("p", fol.SortBool, y)
 	e.assertEq(px, fol.True())
 	e.assertEq(py, fol.False())
 	if e.conflict {
@@ -109,9 +109,9 @@ func TestEUFArithHeadsAreFunctions(t *testing.T) {
 	// x = y should merge x+1 and y+1 (the + head is uninterpreted here but
 	// congruent).
 	e := newEUF()
-	x, y := fol.NumVar("x"), fol.NumVar("y")
-	x1 := fol.Add(x, fol.Int(1))
-	y1 := fol.Add(y, fol.Int(1))
+	x, y := tin.NumVar("x"), tin.NumVar("y")
+	x1 := fol.Add(x, tin.Int(1))
+	y1 := fol.Add(y, tin.Int(1))
 	e.node(x1)
 	e.node(y1)
 	e.assertEq(x, y)
@@ -122,10 +122,10 @@ func TestEUFArithHeadsAreFunctions(t *testing.T) {
 
 func TestEUFArgPairs(t *testing.T) {
 	e := newEUF()
-	x, y, z := fol.NumVar("x"), fol.NumVar("y"), fol.NumVar("z")
-	e.node(fol.App("f", fol.SortNum, x))
-	e.node(fol.App("f", fol.SortNum, y))
-	e.node(fol.App("g", fol.SortNum, z))
+	x, y, z := tin.NumVar("x"), tin.NumVar("y"), tin.NumVar("z")
+	e.node(tin.App("f", fol.SortNum, x))
+	e.node(tin.App("f", fol.SortNum, y))
+	e.node(tin.App("g", fol.SortNum, z))
 	pairs := e.argPairs()
 	if len(pairs) != 1 {
 		t.Fatalf("got %d candidate pairs, want 1 (x,y): %v", len(pairs), pairs)

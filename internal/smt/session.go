@@ -86,8 +86,7 @@ func (se *Session) Push(prefix *fol.Term) {
 	}
 	se.pushed = true
 	s := se.s
-	s.ensureSetup()
-	prefix = s.Interner.Intern(prefix)
+	prefix = s.own(prefix)
 	core, defs := s.liftIteInto(se.iteMemo, prefix)
 	if len(defs) > 0 {
 		// Prefix definitions are conjoined into the core, so every prefix
@@ -122,7 +121,7 @@ func (se *Session) CheckSatUnder(suffix *fol.Term) Result {
 		s.Stats.CancelHit++
 		return Unknown
 	}
-	suffix = s.Interner.Intern(suffix)
+	suffix = s.own(suffix)
 	core, defs := s.liftIteInto(se.iteMemo, suffix)
 	se.defs = append(se.defs, defs...)
 	visited := make(map[uint32]bool)

@@ -14,7 +14,7 @@ func sessionOneShot(prefix, suffix *fol.Term) Result {
 }
 
 func TestSessionBasic(t *testing.T) {
-	x, y := fol.NumVar("x"), fol.NumVar("y")
+	x, y := tin.NumVar("x"), tin.NumVar("y")
 	s := New()
 	se := s.NewSession()
 	se.Push(fol.And(fol.Le(x, y), fol.Le(y, x))) // x = y
@@ -36,27 +36,27 @@ func TestSessionBasic(t *testing.T) {
 func TestSessionSuffixIsolation(t *testing.T) {
 	// An unsatisfiable suffix must not poison later suffixes: the guard is
 	// retired, so the next check sees only the prefix again.
-	x := fol.NumVar("x")
+	x := tin.NumVar("x")
 	s := New()
 	se := s.NewSession()
-	se.Push(fol.Le(fol.Int(0), x))
+	se.Push(fol.Le(tin.Int(0), x))
 
-	if got := se.CheckSatUnder(fol.Lt(x, fol.Int(0))); got != Unsat {
+	if got := se.CheckSatUnder(fol.Lt(x, tin.Int(0))); got != Unsat {
 		t.Fatalf("x<0 under 0≤x: %v, want unsat", got)
 	}
-	if got := se.CheckSatUnder(fol.Lt(x, fol.Int(1))); got != Sat {
+	if got := se.CheckSatUnder(fol.Lt(x, tin.Int(1))); got != Sat {
 		t.Fatalf("x<1 under 0≤x after an unsat suffix: %v, want sat", got)
 	}
-	if got := se.CheckSatUnder(fol.Lt(x, fol.Int(0))); got != Unsat {
+	if got := se.CheckSatUnder(fol.Lt(x, tin.Int(0))); got != Unsat {
 		t.Fatalf("x<0 re-checked: %v, want unsat", got)
 	}
 }
 
 func TestSessionUnsatPrefix(t *testing.T) {
-	x := fol.NumVar("x")
+	x := tin.NumVar("x")
 	s := New()
 	se := s.NewSession()
-	se.Push(fol.And(fol.Lt(x, fol.Int(0)), fol.Lt(fol.Int(0), x)))
+	se.Push(fol.And(fol.Lt(x, tin.Int(0)), fol.Lt(tin.Int(0), x)))
 	if got := se.CheckSatUnder(fol.True()); got != Unsat {
 		t.Errorf("⊤ under ⊥ prefix: %v, want unsat", got)
 	}
@@ -68,7 +68,7 @@ func TestSessionUnsatPrefix(t *testing.T) {
 func TestSessionTruePrefix(t *testing.T) {
 	// The empty prefix is the VeriVec hot case: table-scan sub-QPSRs have
 	// COND = ASSIGN = ⊤, so every candidate obligation shares one session.
-	x, y := fol.NumVar("x"), fol.NumVar("y")
+	x, y := tin.NumVar("x"), tin.NumVar("y")
 	s := New()
 	se := s.NewSession()
 	se.Push(fol.True())
@@ -84,26 +84,26 @@ func TestSessionIteSharing(t *testing.T) {
 	// An ITE appearing in the prefix and again in suffixes must share one
 	// lifted variable and keep its defining constraints in force for every
 	// later check.
-	x, y := fol.NumVar("x"), fol.NumVar("y")
+	x, y := tin.NumVar("x"), tin.NumVar("y")
 	ite := fol.Ite(fol.Le(x, y), x, y) // min(x, y)
 	s := New()
 	se := s.NewSession()
-	se.Push(fol.Eq(ite, fol.Int(5)))
-	if got := se.CheckSatUnder(fol.Lt(x, fol.Int(5))); got != Unsat {
+	se.Push(fol.Eq(ite, tin.Int(5)))
+	if got := se.CheckSatUnder(fol.Lt(x, tin.Int(5))); got != Unsat {
 		t.Errorf("x < 5 with min(x,y)=5: %v, want unsat", got)
 	}
-	if got := se.CheckSatUnder(fol.Eq(ite, fol.Int(5))); got != Sat {
+	if got := se.CheckSatUnder(fol.Eq(ite, tin.Int(5))); got != Sat {
 		t.Errorf("re-asserting min(x,y)=5: %v, want sat", got)
 	}
-	if got := se.CheckSatUnder(fol.Not(fol.Eq(ite, fol.Int(5)))); got != Unsat {
+	if got := se.CheckSatUnder(fol.Not(fol.Eq(ite, tin.Int(5)))); got != Unsat {
 		t.Errorf("min(x,y)≠5 under min(x,y)=5: %v, want unsat", got)
 	}
 }
 
 func TestSessionEUFSuffixes(t *testing.T) {
-	x, y := fol.NumVar("x"), fol.NumVar("y")
-	fx := fol.App("f", fol.SortNum, x)
-	fy := fol.App("f", fol.SortNum, y)
+	x, y := tin.NumVar("x"), tin.NumVar("y")
+	fx := tin.App("f", fol.SortNum, x)
+	fy := tin.App("f", fol.SortNum, y)
 	s := New()
 	se := s.NewSession()
 	se.Push(fol.And(fol.Le(x, y), fol.Le(y, x))) // x = y

@@ -2,6 +2,7 @@ package smt
 
 import (
 	"math/big"
+	"sort"
 )
 
 // simplex is a general simplex solver for linear rational arithmetic in the
@@ -182,7 +183,9 @@ func (s *simplex) check() bool {
 // explainRow records the infeasibility explanation for a stuck row: the
 // violated bound of the basic variable plus the blocking bound of every
 // non-basic variable in its row (the standard Dutertre–de Moura
-// explanation).
+// explanation). The row is walked in variable order, not map order: the
+// explanation's order carries into core minimization and from there into
+// blocking clauses and stored lemmas, which must not vary between runs.
 func (s *simplex) explainRow(b int, row map[int]*big.Rat, increase bool) {
 	why := []int{}
 	if increase {
@@ -190,7 +193,13 @@ func (s *simplex) explainRow(b int, row map[int]*big.Rat, increase bool) {
 	} else {
 		why = append(why, s.upperWhy[b])
 	}
-	for x, c := range row {
+	xs := make([]int, 0, len(row))
+	for x := range row {
+		xs = append(xs, x)
+	}
+	sort.Ints(xs)
+	for _, x := range xs {
+		c := row[x]
 		if c.Sign() == 0 {
 			continue
 		}

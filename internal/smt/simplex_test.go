@@ -2,6 +2,7 @@ package smt
 
 import (
 	"math/big"
+	"reflect"
 	"testing"
 )
 
@@ -212,5 +213,38 @@ func TestDeltaArithmetic(t *testing.T) {
 	}
 	if got := a.sub(b); got.R.Sign() != 0 || got.D.Cmp(rat(-1, 1)) != 0 {
 		t.Errorf("sub: got %v", got)
+	}
+}
+
+// TestSimplexExplanationDeterministic pins that a stuck row explains its
+// conflict in the same order every time: the order carries into core
+// minimization, and from there into blocking clauses and the lemmas the
+// durable store writes.
+func TestSimplexExplanationDeterministic(t *testing.T) {
+	explain := func() []int {
+		// x0 + ... + x5 >= 100 with every xi <= 3 is infeasible; the
+		// explanation is the slack's lower bound plus all six upper bounds.
+		s := newSimplex()
+		coeffs := make(map[int]*big.Rat)
+		for i := 0; i < 6; i++ {
+			x := s.newVar()
+			coeffs[x] = rat(1, 1)
+			s.assertUpper(x, dInt(3), 10+i)
+		}
+		sl := s.defineSlack(coeffs)
+		s.assertLower(sl, dInt(100), 1)
+		if s.check() {
+			t.Fatal("should be infeasible")
+		}
+		return s.conflictWhy
+	}
+	want := explain()
+	if len(want) != 7 {
+		t.Fatalf("explanation %v, want the slack bound and six upper bounds", want)
+	}
+	for i := 0; i < 50; i++ {
+		if got := explain(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("rebuild %d explained the conflict as %v, the first build as %v", i+1, got, want)
+		}
 	}
 }

@@ -123,10 +123,10 @@ func TestNNFEquivalence(t *testing.T) {
 // satisfiability — each case implies the original, and the original implies
 // the disjunction of the cases.
 func TestSplitCasesCoverDisjunction(t *testing.T) {
-	x, y := fol.NumVar("x"), fol.NumVar("y")
+	x, y := tin.NumVar("x"), tin.NumVar("y")
 	f := fol.And(
-		fol.Or(fol.Eq(x, fol.Int(1)), fol.Eq(x, fol.Int(2))),
-		fol.Or(fol.Eq(y, fol.Int(3)), fol.Eq(y, fol.Int(4))),
+		fol.Or(fol.Eq(x, tin.Int(1)), fol.Eq(x, tin.Int(2))),
+		fol.Or(fol.Eq(y, tin.Int(3)), fol.Eq(y, tin.Int(4))),
 		fol.Lt(x, y))
 	cases := splitCases(f, 64)
 	if len(cases) != 4 {
@@ -166,6 +166,7 @@ func TestSolverAgreesWithAndWithoutSplitting(t *testing.T) {
 		any := false
 		for _, c := range cases {
 			s2 := New()
+			s2.Interner = tin
 			if s2.checkOne(s2.liftIte(c)) == Sat {
 				any = true
 				break
@@ -180,8 +181,8 @@ func TestSolverAgreesWithAndWithoutSplitting(t *testing.T) {
 // TestTheoryCheckComponents: variable-disjoint inconsistencies are found no
 // matter which component they hide in.
 func TestTheoryCheckComponents(t *testing.T) {
-	x, y := fol.NumVar("x"), fol.NumVar("y")
-	p, q := fol.NumVar("p"), fol.NumVar("q")
+	x, y := tin.NumVar("x"), tin.NumVar("y")
+	p, q := tin.NumVar("p"), tin.NumVar("q")
 	// Component {x,y} consistent; component {p,q} inconsistent.
 	f := fol.And(
 		fol.Lt(x, y),
@@ -197,15 +198,15 @@ func TestTheoryCheckComponents(t *testing.T) {
 // genuinely inconsistent subset (verified by re-checking just the explained
 // literals).
 func TestConflictExplanationsSound(t *testing.T) {
-	x, y, z := fol.NumVar("x"), fol.NumVar("y"), fol.NumVar("z")
+	x, y, z := tin.NumVar("x"), tin.NumVar("y"), tin.NumVar("z")
 	lits := []theoryLit{
 		{atom: fol.Lt(x, y), pos: true},
 		{atom: fol.Lt(y, z), pos: true},
 		{atom: fol.Lt(z, x), pos: true},            // cycle: inconsistent
-		{atom: fol.Le(x, fol.Int(100)), pos: true}, // irrelevant
-		{atom: fol.Le(y, fol.Int(100)), pos: true}, // irrelevant
+		{atom: fol.Le(x, tin.Int(100)), pos: true}, // irrelevant
+		{atom: fol.Le(y, tin.Int(100)), pos: true}, // irrelevant
 	}
-	ok, certain, expl := theoryCheckExplain(lits, 50, nil)
+	ok, certain, expl := theoryCheckExplain(newEUF(), lits, 50, newTheoryCache(tin))
 	if ok || !certain {
 		t.Fatalf("cycle should be inconsistent (ok=%v certain=%v)", ok, certain)
 	}
@@ -216,7 +217,7 @@ func TestConflictExplanationsSound(t *testing.T) {
 	for _, i := range expl {
 		sub = append(sub, lits[i])
 	}
-	subOK, subCertain := theoryCheck(sub, 50, nil)
+	subOK, subCertain := theoryCheck(newEUF(), sub, 50, newTheoryCache(tin))
 	if subOK || !subCertain {
 		t.Errorf("explanation %v is not an inconsistent subset", expl)
 	}
@@ -224,18 +225,18 @@ func TestConflictExplanationsSound(t *testing.T) {
 
 // TestDeepIteNesting exercises the ITE lifting on nested conditionals.
 func TestDeepIteNesting(t *testing.T) {
-	x := fol.NumVar("x")
+	x := tin.NumVar("x")
 	// clamp(x) = min(max(x, 0), 10), built from nested ITEs.
-	clamped := fol.Ite(fol.Lt(x, fol.Int(0)), fol.Int(0),
-		fol.Ite(fol.Gt(x, fol.Int(10)), fol.Int(10), x))
+	clamped := fol.Ite(fol.Lt(x, tin.Int(0)), tin.Int(0),
+		fol.Ite(fol.Gt(x, tin.Int(10)), tin.Int(10), x))
 	s := New()
-	if !s.Valid(fol.And(fol.Ge(clamped, fol.Int(0)), fol.Le(clamped, fol.Int(10)))) {
+	if !s.Valid(fol.And(fol.Ge(clamped, tin.Int(0)), fol.Le(clamped, tin.Int(10)))) {
 		t.Error("clamp bounds should be valid")
 	}
 	if s.Valid(fol.Eq(clamped, x)) {
 		t.Error("clamp is not the identity")
 	}
-	if !s.Valid(fol.Implies(fol.And(fol.Ge(x, fol.Int(0)), fol.Le(x, fol.Int(10))), fol.Eq(clamped, x))) {
+	if !s.Valid(fol.Implies(fol.And(fol.Ge(x, tin.Int(0)), fol.Le(x, tin.Int(10))), fol.Eq(clamped, x))) {
 		t.Error("clamp is the identity on [0,10]")
 	}
 }
@@ -245,7 +246,7 @@ func TestLargeConjunction(t *testing.T) {
 	vars := make([]*fol.Term, 40)
 	conj := make([]*fol.Term, 0, 41)
 	for i := range vars {
-		vars[i] = fol.NumVar(varName("v", i))
+		vars[i] = tin.NumVar(varName("v", i))
 		if i > 0 {
 			conj = append(conj, fol.Lt(vars[i-1], vars[i]))
 		}

@@ -78,15 +78,15 @@ type Solver struct {
 	// contexts here so a dropped client or a draining shutdown stops
 	// burning solver time.
 	Ctx context.Context
-	// Interner hash-conses every formula the solver touches. CheckSat
-	// interns its input on entry, so the whole pipeline (ITE lifting, NNF,
-	// case splitting, CNF encoding, congruence closure, simplex) operates
-	// on one shared DAG and keys its maps on dense term IDs instead of
-	// canonical strings. Callers that already build through an interner
-	// (the verify layer) should set this to the same interner so entry
-	// interning is a pointer check; when nil, CheckSat creates a private
-	// one on first use. Interning preserves formula structure exactly, so
-	// verdicts are independent of which interner terms arrive in.
+	// Interner is the interner the solver works in. CheckSat and the
+	// session entry points intern their input into it, so the whole
+	// pipeline (ITE lifting, NNF, case splitting, CNF encoding, congruence
+	// closure, simplex) operates on one DAG and keys its maps on dense term
+	// IDs instead of canonical strings. Callers set it to the interner they
+	// build in (verify, normalize and equitas all do), which makes entry
+	// interning a pointer check; when nil, the solver adopts the interner
+	// of the first formula it is given. A formula from any other interner
+	// is copied in structurally, which cannot change a verdict.
 	Interner *fol.Interner
 	// SharedLemmas, when non-nil, is a cross-pair (and, through its sink,
 	// cross-process) theory-lemma pool: every blocked core this solver
@@ -96,15 +96,6 @@ type Solver struct {
 	// round-trip through the durable store. See LemmaPool for the
 	// soundness argument.
 	SharedLemmas *LemmaPool
-	// NoTheoryCache disables the ID-keyed theory-translation cache (see
-	// theoryCache), making every theory check re-derive its linear forms
-	// from scratch. The legacy construction mode (verify's
-	// DisableInterning) sets this to reproduce the pre-interning
-	// pipeline's behavior end to end; it is also the honest baseline for
-	// the allocation benchmarks. Caching cannot change verdicts — the
-	// cached value is a pure function of the two terms — so this is a
-	// performance switch, not a semantics switch.
-	NoTheoryCache bool
 
 	Stats Stats
 
@@ -138,14 +129,17 @@ func (s *Solver) CheckSat(f *fol.Term) Result {
 	return se.CheckSatUnder(fol.True())
 }
 
-// ensureSetup lazily creates the interner and the ID-keyed theory cache.
-func (s *Solver) ensureSetup() {
+// own interns f into the solver's interner — adopting f's own interner
+// when the solver has none yet — and keeps the ID-keyed theory cache bound
+// to that interner.
+func (s *Solver) own(f *fol.Term) *fol.Term {
 	if s.Interner == nil {
-		s.Interner = fol.NewInterner()
+		s.Interner = f.Owner()
 	}
-	if !s.NoTheoryCache && (s.tc == nil || s.tc.in != s.Interner) {
+	if s.tc == nil || s.tc.in != s.Interner {
 		s.tc = newTheoryCache(s.Interner)
 	}
+	return s.Interner.Intern(f)
 }
 
 // nnf pushes negations through the boolean connectives (De Morgan),
@@ -239,9 +233,7 @@ func (s *Solver) checkOne(f *fol.Term) Result {
 	}
 	// Sessions intern on entry, making this a pointer check; it matters
 	// only for callers (tests) that drive checkOne directly.
-	s.ensureSetup()
-	f = s.Interner.Intern(f)
-	return s.run(s.newCaseInstance(f))
+	return s.run(s.newCaseInstance(s.own(f)))
 }
 
 // newCaseInstance builds the per-case solver state: a CDCL instance wired
@@ -252,7 +244,7 @@ func (s *Solver) newCaseInstance(c *fol.Term) *instance {
 	in := newInstance()
 	in.sat.MaxConflicts = s.MaxSATConflicts
 	in.sat.Stop = s.aborted
-	in.theory = newEUFIn(s.Interner)
+	in.theory = newEUF()
 	in.shared = s.SharedLemmas
 	if c.Kind != fol.KTrue {
 		in.sat.AddClause(in.encode(c))
@@ -357,7 +349,7 @@ func (s *Solver) run(in *instance, assumps ...sat.Lit) Result {
 		var conflictComp []theoryLit
 		var expl []int
 		for _, comp := range comps {
-			ok, certain, e := theoryCheckExplainOn(in.theory, comp, s.TheoryBudget, s.tc)
+			ok, certain, e := theoryCheckExplain(in.theory, comp, s.TheoryBudget, s.tc)
 			if !certain {
 				uncertain = true
 				break
@@ -384,7 +376,7 @@ func (s *Solver) run(in *instance, assumps ...sat.Lit) Result {
 				trial[i] = conflictComp[idx]
 			}
 			s.Stats.CoreChecks++
-			if ok, certain := theoryCheckOn(in.theory, trial, s.TheoryBudget, s.tc); certain && !ok {
+			if ok, certain := theoryCheck(in.theory, trial, s.TheoryBudget, s.tc); certain && !ok {
 				start = trial
 			}
 		}
@@ -448,7 +440,7 @@ func (s *Solver) minimizeCore(e *euf, lits []theoryLit) []theoryLit {
 	core := append([]theoryLit(nil), lits...)
 	inconsistent := func(trial []theoryLit) bool {
 		s.Stats.CoreChecks++
-		consistent, certain := theoryCheckOn(e, trial, s.TheoryBudget, s.tc)
+		consistent, certain := theoryCheck(e, trial, s.TheoryBudget, s.tc)
 		return certain && !consistent
 	}
 	for chunk := len(core) / 2; chunk >= 1; chunk /= 2 {
@@ -508,7 +500,7 @@ func (s *Solver) liftIteInto(memo map[*fol.Term]*fol.Term, f *fol.Term) (*fol.Te
 		}
 		cur := t
 		if changed {
-			cur = rebuildWith(t, args)
+			cur = t.WithArgs(args)
 		}
 		if cur.Kind == fol.KIte && cur.Sort == fol.SortNum {
 			if v, ok := memo[cur]; ok {
@@ -526,40 +518,4 @@ func (s *Solver) liftIteInto(memo map[*fol.Term]*fol.Term, f *fol.Term) (*fol.Te
 		return cur
 	}
 	return rec(f), defs
-}
-
-// rebuildWith reconstructs a term with new arguments through the smart
-// constructors.
-func rebuildWith(t *fol.Term, args []*fol.Term) *fol.Term {
-	switch t.Kind {
-	case fol.KAdd:
-		return fol.Add(args...)
-	case fol.KMul:
-		return fol.Mul(args...)
-	case fol.KNeg:
-		return fol.Neg(args[0])
-	case fol.KDiv:
-		return fol.Div(args[0], args[1])
-	case fol.KEq:
-		return fol.Eq(args[0], args[1])
-	case fol.KLe:
-		return fol.Le(args[0], args[1])
-	case fol.KLt:
-		return fol.Lt(args[0], args[1])
-	case fol.KNot:
-		return fol.Not(args[0])
-	case fol.KAnd:
-		return fol.And(args...)
-	case fol.KOr:
-		return fol.Or(args...)
-	case fol.KIff:
-		return fol.Iff(args[0], args[1])
-	case fol.KIte:
-		return fol.Ite(args[0], args[1], args[2])
-	case fol.KApp:
-		return fol.App(t.Name, t.Sort, args...)
-	}
-	// Every kind with arguments is enumerated above; leaves never reach
-	// rebuildWith (callers only rebuild when len(Args) > 0).
-	panic(fmt.Sprintf("smt: rebuildWith on unexpected kind %v", t.Kind))
 }

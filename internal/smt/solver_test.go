@@ -8,6 +8,9 @@ import (
 	"spes/internal/fol"
 )
 
+// tin owns the terms the package's tests build.
+var tin = fol.NewInterner()
+
 func checkSat(t *testing.T, f *fol.Term, want Result) {
 	t.Helper()
 	s := New()
@@ -17,8 +20,8 @@ func checkSat(t *testing.T, f *fol.Term, want Result) {
 }
 
 func TestCheckSatBasics(t *testing.T) {
-	x, y := fol.NumVar("x"), fol.NumVar("y")
-	p := fol.BoolVar("p")
+	x, y := tin.NumVar("x"), tin.NumVar("y")
+	p := tin.BoolVar("p")
 
 	checkSat(t, fol.True(), Sat)
 	checkSat(t, fol.False(), Unsat)
@@ -28,16 +31,16 @@ func TestCheckSatBasics(t *testing.T) {
 	checkSat(t, fol.And(fol.Lt(x, y), fol.Lt(y, x)), Unsat)
 	checkSat(t, fol.And(fol.Le(x, y), fol.Le(y, x)), Sat)
 	checkSat(t, fol.And(fol.Le(x, y), fol.Le(y, x), fol.Not(fol.Eq(x, y))), Unsat)
-	checkSat(t, fol.And(fol.Lt(x, fol.Int(3)), fol.Lt(fol.Int(5), x)), Unsat)
+	checkSat(t, fol.And(fol.Lt(x, tin.Int(3)), fol.Lt(tin.Int(5), x)), Unsat)
 	// The paper's §3.1 examples: x+5>10 ∧ x<3 is unsat only over integers;
 	// over rationals it is sat at e.g. x=5.5... actually x+5>10 requires
 	// x>5, contradicting x<3 over the rationals too.
-	checkSat(t, fol.And(fol.Gt(fol.Add(x, fol.Int(5)), fol.Int(10)), fol.Lt(x, fol.Int(3))), Unsat)
-	checkSat(t, fol.And(fol.Gt(fol.Add(x, fol.Int(5)), fol.Int(10)), fol.Lt(x, fol.Int(6))), Sat)
+	checkSat(t, fol.And(fol.Gt(fol.Add(x, tin.Int(5)), tin.Int(10)), fol.Lt(x, tin.Int(3))), Unsat)
+	checkSat(t, fol.And(fol.Gt(fol.Add(x, tin.Int(5)), tin.Int(10)), fol.Lt(x, tin.Int(6))), Sat)
 }
 
 func TestValidity(t *testing.T) {
-	x, y, z := fol.NumVar("x"), fol.NumVar("y"), fol.NumVar("z")
+	x, y, z := tin.NumVar("x"), tin.NumVar("y"), tin.NumVar("z")
 	s := New()
 	cases := []struct {
 		name string
@@ -47,11 +50,11 @@ func TestValidity(t *testing.T) {
 		{"refl", fol.Eq(x, x), true},
 		{"lt-implies-le", fol.Implies(fol.Lt(x, y), fol.Le(x, y)), true},
 		{"trans", fol.Implies(fol.And(fol.Lt(x, y), fol.Lt(y, z)), fol.Lt(x, z)), true},
-		{"shift", fol.Iff(fol.Gt(fol.Add(x, fol.Int(5)), fol.Int(15)), fol.Gt(x, fol.Int(10))), true},
+		{"shift", fol.Iff(fol.Gt(fol.Add(x, tin.Int(5)), tin.Int(15)), fol.Gt(x, tin.Int(10))), true},
 		{"not-valid", fol.Le(x, y), false},
 		{"trichotomy", fol.Or(fol.Lt(x, y), fol.Eq(x, y), fol.Lt(y, x)), true},
-		{"scale", fol.Iff(fol.Le(fol.Mul(fol.Int(2), x), fol.Int(10)), fol.Le(x, fol.Int(5))), true},
-		{"neg-flip", fol.Iff(fol.Le(fol.Neg(x), fol.Int(0)), fol.Ge(x, fol.Int(0))), true},
+		{"scale", fol.Iff(fol.Le(fol.Mul(tin.Int(2), x), tin.Int(10)), fol.Le(x, tin.Int(5))), true},
+		{"neg-flip", fol.Iff(fol.Le(fol.Neg(x), tin.Int(0)), fol.Ge(x, tin.Int(0))), true},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -65,25 +68,25 @@ func TestValidity(t *testing.T) {
 func TestPaperExample1Predicates(t *testing.T) {
 	// §2 Example 1: DEPT_ID > 10 vs DEPT_ID + 5 > 15 are equivalent
 	// predicates; their Iff is valid.
-	v3 := fol.NumVar("v3")
-	p1 := fol.Gt(v3, fol.Int(10))
-	p2 := fol.Gt(fol.Add(v3, fol.Int(5)), fol.Int(15))
+	v3 := tin.NumVar("v3")
+	p1 := fol.Gt(v3, tin.Int(10))
+	p2 := fol.Gt(fol.Add(v3, tin.Int(5)), tin.Int(15))
 	s := New()
 	if !s.Valid(fol.Iff(p1, p2)) {
 		t.Error("DEPT_ID>10 should be equivalent to DEPT_ID+5>15")
 	}
 	// §3.2: DEPT_ID+5=15 vs DEPT_ID=10.
-	q1 := fol.Eq(fol.Add(v3, fol.Int(5)), fol.Int(15))
-	q2 := fol.Eq(v3, fol.Int(10))
+	q1 := fol.Eq(fol.Add(v3, tin.Int(5)), tin.Int(15))
+	q2 := fol.Eq(v3, tin.Int(10))
 	if !s.Valid(fol.Iff(q1, q2)) {
 		t.Error("DEPT_ID+5=15 should be equivalent to DEPT_ID=10")
 	}
 }
 
 func TestUninterpretedFunctions(t *testing.T) {
-	x, y := fol.NumVar("x"), fol.NumVar("y")
-	fx := fol.App("f", fol.SortNum, x)
-	fy := fol.App("f", fol.SortNum, y)
+	x, y := tin.NumVar("x"), tin.NumVar("y")
+	fx := tin.App("f", fol.SortNum, x)
+	fy := tin.App("f", fol.SortNum, y)
 	s := New()
 	// Congruence: x=y → f(x)=f(y) is valid.
 	if !s.Valid(fol.Implies(fol.Eq(x, y), fol.Eq(fx, fy))) {
@@ -95,9 +98,9 @@ func TestUninterpretedFunctions(t *testing.T) {
 	}
 	// f(x)=x+1 ∧ x=y ∧ f(y)>x+2 is unsat.
 	f := fol.And(
-		fol.Eq(fx, fol.Add(x, fol.Int(1))),
+		fol.Eq(fx, fol.Add(x, tin.Int(1))),
 		fol.Eq(x, y),
-		fol.Gt(fy, fol.Add(x, fol.Int(2))),
+		fol.Gt(fy, fol.Add(x, tin.Int(2))),
 	)
 	checkSat(t, f, Unsat)
 }
@@ -105,9 +108,9 @@ func TestUninterpretedFunctions(t *testing.T) {
 func TestArithToEUFPropagation(t *testing.T) {
 	// x <= y ∧ y <= x (arith-implied x=y) ∧ f(x) ≠ f(y) is unsat; requires
 	// equality propagation from simplex into congruence closure.
-	x, y := fol.NumVar("x"), fol.NumVar("y")
-	fx := fol.App("f", fol.SortNum, x)
-	fy := fol.App("f", fol.SortNum, y)
+	x, y := tin.NumVar("x"), tin.NumVar("y")
+	fx := tin.App("f", fol.SortNum, x)
+	fy := tin.App("f", fol.SortNum, y)
 	f := fol.And(
 		fol.Le(x, y),
 		fol.Le(y, x),
@@ -119,12 +122,12 @@ func TestArithToEUFPropagation(t *testing.T) {
 func TestEUFToArithPropagation(t *testing.T) {
 	// f(x)=3 ∧ f(y)=5 ∧ x=y is unsat; congruence merges f(x),f(y), then the
 	// constants conflict.
-	x, y := fol.NumVar("x"), fol.NumVar("y")
-	fx := fol.App("f", fol.SortNum, x)
-	fy := fol.App("f", fol.SortNum, y)
+	x, y := tin.NumVar("x"), tin.NumVar("y")
+	fx := tin.App("f", fol.SortNum, x)
+	fy := tin.App("f", fol.SortNum, y)
 	f := fol.And(
-		fol.Eq(fx, fol.Int(3)),
-		fol.Eq(fy, fol.Int(5)),
+		fol.Eq(fx, tin.Int(3)),
+		fol.Eq(fy, tin.Int(5)),
 		fol.Eq(x, y),
 	)
 	checkSat(t, f, Unsat)
@@ -133,19 +136,19 @@ func TestEUFToArithPropagation(t *testing.T) {
 func TestOffsetCongruence(t *testing.T) {
 	// x = y+1 ∧ f(x) ≠ f(y+1) is unsat: needs arithmetic to identify x with
 	// the term y+1 and propagate into the congruence closure.
-	x, y := fol.NumVar("x"), fol.NumVar("y")
-	y1 := fol.Add(y, fol.Int(1))
+	x, y := tin.NumVar("x"), tin.NumVar("y")
+	y1 := fol.Add(y, tin.Int(1))
 	f := fol.And(
 		fol.Eq(x, y1),
-		fol.Not(fol.Eq(fol.App("f", fol.SortNum, x), fol.App("f", fol.SortNum, y1))),
+		fol.Not(fol.Eq(tin.App("f", fol.SortNum, x), tin.App("f", fol.SortNum, y1))),
 	)
 	checkSat(t, f, Unsat)
 }
 
 func TestBooleanApps(t *testing.T) {
-	x, y := fol.NumVar("x"), fol.NumVar("y")
-	px := fol.App("p", fol.SortBool, x)
-	py := fol.App("p", fol.SortBool, y)
+	x, y := tin.NumVar("x"), tin.NumVar("y")
+	px := tin.App("p", fol.SortBool, x)
+	py := tin.App("p", fol.SortBool, y)
 	// p(x) ∧ ¬p(y) ∧ x=y is unsat.
 	checkSat(t, fol.And(px, fol.Not(py), fol.Eq(x, y)), Unsat)
 	// p(x) ∧ ¬p(y) is sat.
@@ -153,19 +156,19 @@ func TestBooleanApps(t *testing.T) {
 }
 
 func TestNumericIteLifting(t *testing.T) {
-	x := fol.NumVar("x")
-	p := fol.BoolVar("p")
-	ite := fol.Ite(p, fol.Int(1), fol.Int(2))
+	x := tin.NumVar("x")
+	p := tin.BoolVar("p")
+	ite := fol.Ite(p, tin.Int(1), tin.Int(2))
 	// ite(p,1,2) >= 1 is valid.
 	s := New()
-	if !s.Valid(fol.Ge(ite, fol.Int(1))) {
+	if !s.Valid(fol.Ge(ite, tin.Int(1))) {
 		t.Error("ite(p,1,2) >= 1 should be valid")
 	}
 	// ite(p,1,2) = 3 is unsat.
-	checkSat(t, fol.Eq(ite, fol.Int(3)), Unsat)
+	checkSat(t, fol.Eq(ite, tin.Int(3)), Unsat)
 	// ite(x>0, x, -x) >= 0 is valid (absolute value).
-	abs := fol.Ite(fol.Gt(x, fol.Int(0)), x, fol.Neg(x))
-	if !s.Valid(fol.Ge(abs, fol.Int(0))) {
+	abs := fol.Ite(fol.Gt(x, tin.Int(0)), x, fol.Neg(x))
+	if !s.Valid(fol.Ge(abs, tin.Int(0))) {
 		t.Error("|x| >= 0 should be valid")
 	}
 }
@@ -174,7 +177,7 @@ func TestNonlinearSoundness(t *testing.T) {
 	// Non-linear products are uninterpreted: x*y = y*x must still be valid
 	// (canonical ordering makes both sides identical), and congruence
 	// applies.
-	x, y, z := fol.NumVar("x"), fol.NumVar("y"), fol.NumVar("z")
+	x, y, z := tin.NumVar("x"), tin.NumVar("y"), tin.NumVar("z")
 	s := New()
 	if !s.Valid(fol.Eq(fol.Mul(x, y), fol.Mul(y, x))) {
 		t.Error("x*y = y*x should be valid via canonicalization")
@@ -184,11 +187,11 @@ func TestNonlinearSoundness(t *testing.T) {
 	}
 	// x*x = 2 is sat in the uninterpreted abstraction (even though it is
 	// unsat over the rationals); SPES tolerates this direction.
-	checkSat(t, fol.Eq(fol.Mul(x, x), fol.Int(2)), Sat)
+	checkSat(t, fol.Eq(fol.Mul(x, x), tin.Int(2)), Sat)
 }
 
 func TestIffAndDeepNesting(t *testing.T) {
-	p, q, r := fol.BoolVar("p"), fol.BoolVar("q"), fol.BoolVar("r")
+	p, q, r := tin.BoolVar("p"), tin.BoolVar("q"), tin.BoolVar("r")
 	s := New()
 	// (p <=> q) ∧ (q <=> r) → (p <=> r)
 	if !s.Valid(fol.Implies(fol.And(fol.Iff(p, q), fol.Iff(q, r)), fol.Iff(p, r))) {
@@ -269,9 +272,9 @@ func newSolverTermGen(r *rand.Rand) *solverTermGen { return &solverTermGen{r} }
 func (g *solverTermGen) numTerm(depth int) *fol.Term {
 	if depth == 0 || g.r.Intn(3) == 0 {
 		if g.r.Intn(2) == 0 {
-			return fol.NumVar([]string{"x", "y", "z"}[g.r.Intn(3)])
+			return tin.NumVar([]string{"x", "y", "z"}[g.r.Intn(3)])
 		}
-		return fol.Int(int64(g.r.Intn(5) - 2))
+		return tin.Int(int64(g.r.Intn(5) - 2))
 	}
 	a, b := g.numTerm(depth-1), g.numTerm(depth-1)
 	switch g.r.Intn(3) {
@@ -280,7 +283,7 @@ func (g *solverTermGen) numTerm(depth int) *fol.Term {
 	case 1:
 		return fol.Sub(a, b)
 	default:
-		return fol.Mul(fol.Int(int64(g.r.Intn(3)+1)), a)
+		return fol.Mul(tin.Int(int64(g.r.Intn(3)+1)), a)
 	}
 }
 
@@ -329,9 +332,9 @@ func TestValidImpliesBruteValid(t *testing.T) {
 
 func TestStatsAccumulate(t *testing.T) {
 	s := New()
-	x := fol.NumVar("x")
-	s.CheckSat(fol.Lt(x, fol.Int(0)))
-	s.CheckSat(fol.And(fol.Lt(x, fol.Int(0)), fol.Gt(x, fol.Int(0))))
+	x := tin.NumVar("x")
+	s.CheckSat(fol.Lt(x, tin.Int(0)))
+	s.CheckSat(fol.And(fol.Lt(x, tin.Int(0)), fol.Gt(x, tin.Int(0))))
 	if s.Stats.Queries != 2 {
 		t.Errorf("Queries = %d, want 2", s.Stats.Queries)
 	}

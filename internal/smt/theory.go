@@ -35,8 +35,8 @@ type linCon struct {
 // explanation, and every core-minimization trial re-translates the same
 // atoms — so the linear form of a term difference, a pure function of the
 // two (immutable) terms, is worth computing once per solver instead of
-// once per check. The cache is only consulted for terms interned in its
-// interner, where the ID pair identifies the pair of terms exactly.
+// once per check. The cache is bound to the solver's interner, where the ID
+// pair identifies the pair of terms exactly.
 //
 // Cached linForms are shared across checks and must be treated as
 // immutable; buildSimplex, formToRow, and the propagation loop only read
@@ -50,13 +50,8 @@ func newTheoryCache(in *fol.Interner) *theoryCache {
 	return &theoryCache{in: in, diffs: make(map[uint64]*linForm)}
 }
 
-// diff returns linearize(a) − linearize(b), memoized when the cache is
-// live. A nil receiver (legacy mode, or atoms from a foreign interner)
-// computes it fresh, exactly as the pre-interning pipeline did.
+// diff returns linearize(a) − linearize(b), memoized.
 func (tc *theoryCache) diff(a, b *fol.Term) *linForm {
-	if tc == nil {
-		return diff(a, b)
-	}
 	k := uint64(a.ID())<<32 | uint64(b.ID())
 	if f, ok := tc.diffs[k]; ok {
 		return f
@@ -75,51 +70,28 @@ func (tc *theoryCache) diff(a, b *fol.Term) *linForm {
 // The returned certain flag is false when the propagation budget was
 // exhausted before a verdict; callers must then treat the overall result as
 // unknown.
-func theoryCheck(lits []theoryLit, budget int, tc *theoryCache) (consistent, certain bool) {
-	consistent, certain, _ = theoryCheckExplain(lits, budget, tc)
+func theoryCheck(e *euf, lits []theoryLit, budget int, tc *theoryCache) (consistent, certain bool) {
+	consistent, certain, _ = theoryCheckExplain(e, lits, budget, tc)
 	return consistent, certain
 }
 
-// theoryCheckOn is theoryCheck against a persistent congruence engine (see
-// theoryCheckExplainOn).
-func theoryCheckOn(e *euf, lits []theoryLit, budget int, tc *theoryCache) (consistent, certain bool) {
-	consistent, certain, _ = theoryCheckExplainOn(e, lits, budget, tc)
-	return consistent, certain
-}
-
-// theoryCheckExplain additionally returns, when available, the indices of
-// the literals involved in an arithmetic conflict (a small starting point
-// for core minimization). A nil explanation means "unknown subset".
-func theoryCheckExplain(lits []theoryLit, budget int, tc *theoryCache) (consistent, certain bool, expl []int) {
-	return theoryCheckExplainOn(nil, lits, budget, tc)
-}
-
-// theoryCheckExplainOn runs the combined EUF+simplex check on a persistent
-// congruence engine. Term registration (including registration-time
-// congruence merges, which are model-independent and therefore globally
-// valid) accumulates in e across calls; everything the asserted literals
-// add — merges, signature inserts, disequalities — is recorded on a trail
-// and rolled back before returning, so e always ends a call in its
-// registration-only base state. A nil engine (or one bound to a different
-// interner than the literals) falls back to a private engine per call,
-// reproducing the non-incremental behavior exactly.
-func theoryCheckExplainOn(e *euf, lits []theoryLit, budget int, tc *theoryCache) (consistent, certain bool, expl []int) {
-	// Every map downstream (congruence nodes, linear-form coefficients,
-	// the simplex variable index) keys on interned term IDs, so all atoms
-	// must live in one interner. On the solver path they already share the
-	// solver's interner and interning here is a pointer check; legacy
-	// callers (unit tests) get a private interner and their atoms are
-	// adopted structurally.
-	in := litsInterner(lits)
-	if tc != nil && tc.in != in {
-		// Atoms from a different interner than the cache was built for:
-		// their IDs would alias. Never happens on the solver path (the
-		// solver interns everything it touches); drop the cache.
-		tc = nil
-	}
-	if e == nil || e.in != in {
-		e = newEUFIn(in)
-	}
+// theoryCheckExplain is theoryCheck that additionally returns, when
+// available, the indices of the literals involved in an arithmetic conflict
+// (a small starting point for core minimization). A nil explanation means
+// "unknown subset".
+//
+// The check runs on a persistent congruence engine. Term registration
+// (including registration-time congruence merges, which are
+// model-independent and therefore globally valid) accumulates in e across
+// calls; everything the asserted literals add — merges, signature inserts,
+// disequalities — is recorded on a trail and rolled back before returning,
+// so e always ends a call in its registration-only base state.
+//
+// Every map downstream (congruence nodes, the theory cache, linear-form
+// coefficients, the simplex variable index) keys on term IDs: the atoms,
+// e's registered terms and tc must all belong to one interner, the
+// solver's, into which every formula is interned on entry.
+func theoryCheckExplain(e *euf, lits []theoryLit, budget int, tc *theoryCache) (consistent, certain bool, expl []int) {
 	trueNode := fol.True()
 	falseNode := fol.False()
 	e.node(trueNode)
@@ -128,7 +100,7 @@ func theoryCheckExplainOn(e *euf, lits []theoryLit, budget int, tc *theoryCache)
 	// out of the recorded trail (it is permanent), and signatures computed
 	// during registration must not observe assertion-time merges.
 	for _, l := range lits {
-		a := in.Intern(l.atom)
+		a := l.atom
 		switch a.Kind {
 		case fol.KEq, fol.KLe, fol.KLt:
 			e.node(a.Args[0])
@@ -144,7 +116,7 @@ func theoryCheckExplainOn(e *euf, lits []theoryLit, budget int, tc *theoryCache)
 	var boolVars []theoryLit
 
 	for idx, l := range lits {
-		a := in.Intern(l.atom)
+		a := l.atom
 		switch a.Kind {
 		case fol.KEq:
 			lhs, rhs := a.Args[0], a.Args[1]
@@ -291,18 +263,6 @@ func theoryCheckExplainOn(e *euf, lits []theoryLit, budget int, tc *theoryCache)
 		}
 	}
 	return true, false, nil // budget exhausted; caller must treat as unknown
-}
-
-// litsInterner returns the interner the literals' atoms live in: the first
-// owned atom's interner, or a fresh private one when every atom is legacy
-// (or a universal singleton).
-func litsInterner(lits []theoryLit) *fol.Interner {
-	for _, l := range lits {
-		if o := l.atom.Owner(); o != nil {
-			return o
-		}
-	}
-	return fol.NewInterner()
 }
 
 // explain maps a simplex conflict explanation (constraint tags) back to

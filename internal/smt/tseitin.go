@@ -73,14 +73,11 @@ func (in *instance) constTrue() sat.Lit {
 	return in.trueLit
 }
 
-// atomLit registers a theory atom and returns its literal. Atoms must be
-// interned: the vocabulary keys on term IDs.
+// atomLit registers a theory atom and returns its literal. The vocabulary
+// keys on term IDs, so atoms must belong to the solver's interner.
 func (in *instance) atomLit(t *fol.Term) sat.Lit {
 	if v, ok := in.atomVar[t.ID()]; ok {
 		return sat.MkLit(v, false)
-	}
-	if !t.Interned() {
-		panic(fmt.Sprintf("smt: uninterned atom %v reached the encoder", t))
 	}
 	v := in.sat.NewVar()
 	in.atomVar[t.ID()] = v

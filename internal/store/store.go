@@ -4,8 +4,8 @@
 // long-lived process earned.
 //
 // Keys are interner-independent. A verdict record is keyed on the canonical
-// serialization of its obligation formula (fol.Canonical / Term.Key), and a
-// lemma record carries the canonical keys of its atoms — never interner IDs,
+// serialization of its obligation formula (fol.Term.Key), and a lemma
+// record carries the canonical keys of its atoms — never interner IDs,
 // which are dense per-epoch and meaningless across processes. The index
 // buckets on a 64-bit FNV fingerprint of the key and confirms the full key
 // by reading the record back before returning a verdict, preserving the

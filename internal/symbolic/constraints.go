@@ -35,13 +35,14 @@ func KeyFDAxiom(a, b Tuple, key []int) *fol.Term {
 // of the parent table carries these key values": parent scans assert it
 // of their own key, child scans assert it of their fully non-NULL foreign
 // keys (see FKChildAxiom), and because the symbol is uninterpreted the
-// solver may only conclude what both assertions jointly entail.
+// solver may only conclude what both assertions jointly entail. The
+// application is built in the interner of the tuple's values.
 func Member(name string, t Tuple, idx []int) *fol.Term {
 	args := make([]*fol.Term, len(idx))
 	for i, j := range idx {
 		args[i] = t[j].Val
 	}
-	return fol.App(name, fol.SortBool, args...)
+	return t[idx[0]].Val.Owner().App(name, fol.SortBool, args...)
 }
 
 // FKChildAxiom states referential containment for one child tuple under

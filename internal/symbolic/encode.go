@@ -30,11 +30,10 @@ func (e *Encoder) TakeAssigns() *fol.Term {
 
 func (e *Encoder) addAssign(t *fol.Term) { e.assigns = append(e.assigns, t) }
 
-// app, intc, and numc build leaves through the generator's interner (or the
-// legacy constructors when the generator is uninterned). Composite terms
-// inherit interning from their arguments, but leaves — in particular
-// zero-argument applications — have nothing to infect from, so the encoder
-// must mint them here.
+// app, intc, and numc build leaves through the generator's interner.
+// Composite terms are built in their arguments' interner, but leaves — and
+// applications, which may have no argument — have none to take, so the
+// encoder mints them here.
 func (e *Encoder) app(name string, s fol.Sort, args ...*fol.Term) *fol.Term {
 	return e.Gen.in.App(name, s, args...)
 }

@@ -103,28 +103,22 @@ func TruePred() Pred3 { return Pred3{Val: fol.True(), Null: fol.False()} }
 // string literals map to equal numeric constants, with interning values
 // chosen to preserve lexicographic order (string comparisons stay sound).
 //
-// A Gen optionally carries a term interner (NewGenIn). The generator's
-// leaves are then hash-consed, and because the fol smart constructors
-// propagate interning from any argument, every formula the encoder builds
-// over those leaves lands in the same shared DAG — no other layer has to
-// thread the interner explicitly. With a nil interner the generator
-// produces legacy tree-allocated terms, byte-identical in canonical form.
+// A Gen builds its leaves through a term interner, and because the fol
+// smart constructors build in the interner of their arguments, every
+// formula the encoder builds over those leaves lands in the same DAG — no
+// other layer has to thread the interner explicitly.
 type Gen struct {
 	n       int
 	strings map[string]*big.Rat
 	in      *fol.Interner
 }
 
-// NewGen returns an empty generator producing legacy (uninterned) terms.
-func NewGen() *Gen { return &Gen{strings: make(map[string]*big.Rat)} }
-
-// NewGenIn returns an empty generator whose terms are hash-consed by in
-// (nil behaves like NewGen).
-func NewGenIn(in *fol.Interner) *Gen {
+// NewGen returns an empty generator whose terms are hash-consed by in.
+func NewGen(in *fol.Interner) *Gen {
 	return &Gen{strings: make(map[string]*big.Rat), in: in}
 }
 
-// Interner returns the generator's interner, nil for legacy generators.
+// Interner returns the generator's interner.
 func (g *Gen) Interner() *fol.Interner { return g.in }
 
 // FreshCol allocates a fresh symbolic column.

@@ -37,7 +37,7 @@ func bindTuple(tup Tuple, row []plan.Datum, vars map[string]fol.Value) {
 }
 
 func TestConstantEncoding(t *testing.T) {
-	g := NewGen()
+	g := NewGen(fol.NewInterner())
 	e := NewEncoder(g)
 	in := g.FreshTuple("x", 0)
 
@@ -59,7 +59,7 @@ func TestConstantEncoding(t *testing.T) {
 }
 
 func TestStringInterningPreservesOrder(t *testing.T) {
-	g := NewGen()
+	g := NewGen(fol.NewInterner())
 	// Intern in scrambled order; the values must respect lexicographic
 	// order regardless.
 	words := []string{"mango", "apple", "zebra", "kiwi", "banana", "apricot"}
@@ -95,7 +95,7 @@ func TestStringInterningPreservesOrder(t *testing.T) {
 // here for the generated fragment.)
 func TestPredicateEncodingDifferential(t *testing.T) {
 	r := rand.New(rand.NewSource(99))
-	g := NewGen()
+	g := NewGen(fol.NewInterner())
 	enc := NewEncoder(g)
 	width := 3
 	in := g.FreshTuple("c", width)
@@ -296,7 +296,7 @@ func randRow(r *rand.Rand, width int) []plan.Datum {
 }
 
 func TestCaseEncodingViaAssign(t *testing.T) {
-	g := NewGen()
+	g := NewGen(fol.NewInterner())
 	enc := NewEncoder(g)
 	in := g.FreshTuple("c", 1)
 	// CASE WHEN $0 > 0 THEN 1 ELSE 2 END
@@ -335,7 +335,7 @@ func TestCaseEncodingViaAssign(t *testing.T) {
 }
 
 func TestIdentityAndGroupEq(t *testing.T) {
-	g := NewGen()
+	g := NewGen(fol.NewInterner())
 	a := g.FreshTuple("a", 1)
 	b := g.FreshTuple("b", 1)
 	vars := map[string]fol.Value{}
@@ -373,7 +373,7 @@ func TestIdentityAndGroupEq(t *testing.T) {
 }
 
 func TestExistsCanonicalNaming(t *testing.T) {
-	g := NewGen()
+	g := NewGen(fol.NewInterner())
 	enc := NewEncoder(g)
 	in := g.FreshTuple("c", 2)
 	sub := func(l, r plan.Expr) plan.Node {
@@ -419,7 +419,7 @@ func TestCollectOuterRefs(t *testing.T) {
 }
 
 func TestFunctionEncoding(t *testing.T) {
-	g := NewGen()
+	g := NewGen(fol.NewInterner())
 	enc := NewEncoder(g)
 	in := g.FreshTuple("c", 2)
 	fn := &plan.Func{Name: "UDF", Args: []plan.Expr{&plan.ColRef{Index: 0}, &plan.ColRef{Index: 1}}}
@@ -461,7 +461,7 @@ func TestFunctionEncoding(t *testing.T) {
 }
 
 func TestDivModEncoding(t *testing.T) {
-	g := NewGen()
+	g := NewGen(fol.NewInterner())
 	enc := NewEncoder(g)
 	in := g.FreshTuple("c", 2)
 	div := &plan.Bin{Op: plan.OpDiv, L: &plan.ColRef{Index: 0}, R: &plan.ColRef{Index: 1}}
@@ -492,7 +492,7 @@ func TestDivModEncoding(t *testing.T) {
 }
 
 func TestBooleanValuePosition(t *testing.T) {
-	g := NewGen()
+	g := NewGen(fol.NewInterner())
 	enc := NewEncoder(g)
 	in := g.FreshTuple("c", 1)
 	// A comparison used as a value encodes as 0/1 with the comparison's
@@ -565,7 +565,7 @@ func TestStripExistsProjections(t *testing.T) {
 }
 
 func TestTupleTermsAndObligation(t *testing.T) {
-	g := NewGen()
+	g := NewGen(fol.NewInterner())
 	tup := g.FreshTuple("x", 2)
 	if got := len(tup.Terms()); got != 4 {
 		t.Errorf("Terms() = %d elements, want 4", got)
@@ -584,7 +584,7 @@ func TestTupleTermsAndObligation(t *testing.T) {
 }
 
 func TestBindEqSemantics(t *testing.T) {
-	g := NewGen()
+	g := NewGen(fol.NewInterner())
 	a := g.FreshTuple("a", 1)
 	b := g.FreshTuple("b", 1)
 	bind := BindEq(a, b)

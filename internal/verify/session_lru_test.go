@@ -12,7 +12,7 @@ import (
 // distinctPrefix builds the i-th structurally distinct boolean prefix,
 // interned in the verifier's interner so it is a valid sessionFor key.
 func distinctPrefix(v *Verifier, i int) *fol.Term {
-	return v.in.Intern(fol.Gt(fol.NumVar("x"), fol.Int(int64(i))))
+	return v.in.Intern(fol.Gt(v.in.NumVar("x"), v.in.Int(int64(i))))
 }
 
 // TestSessionLRUCountBound pins the count bound of the session table: the
@@ -166,7 +166,7 @@ func TestStoreKeysAreInternerIndependent(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		v1, v2 := New(), New()
 		f := func(v *Verifier) string {
-			t1 := v.in.Intern(fol.Gt(fol.NumVar(fmt.Sprintf("x%d", i)), fol.Int(7)))
+			t1 := v.in.Intern(fol.Gt(v.in.NumVar(fmt.Sprintf("x%d", i)), v.in.Int(7)))
 			return v.canonicalKey(t1)
 		}
 		if k1, k2 := f(v1), f(v2); k1 != k2 {

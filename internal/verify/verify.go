@@ -53,14 +53,12 @@ type Stats struct {
 }
 
 // ObligationCache memoizes validity outcomes across Verifiers. Keys are
-// opaque strings that identify the obligation: an interner tag plus the
-// obligation's term ID when the Verifier builds through a shared interner
-// (O(1) to derive — the root of the engine's ≥25% allocation win on the
-// batch path), or the canonical serialization (fol.Canonical) for legacy
-// construction. Both key forms are collision-free: term IDs identify terms
-// within an interner, and interner tags are process-unique and never
-// reused, so a key can never alias an obligation from another interner's
-// lifetime.
+// opaque strings that identify the obligation: the Verifier's interner tag
+// plus the obligation's term ID (O(1) to derive — the root of the engine's
+// ≥25% allocation win on the batch path). Keys are collision-free: term IDs
+// identify terms within an interner, and interner tags are process-unique
+// and never reused, so a key can never alias an obligation from another
+// interner's lifetime.
 //
 // Soundness contract: implementations only store what Store gives them, and
 // Verifiers only Store definite solver verdicts — a cached true was an
@@ -78,7 +76,7 @@ type ObligationCache interface {
 }
 
 // DurableStore persists definite validity outcomes across processes. Keys
-// are the obligation's canonical serialization (fol.Canonical / Term.Key) —
+// are the obligation's canonical serialization (Term.Key) —
 // interner-independent, so a stored verdict is valid for any process, any
 // interner epoch, and any in-memory representation. The soundness contract
 // matches ObligationCache: implementations return only what AppendVerdict
@@ -141,18 +139,13 @@ type Config struct {
 	// pool may turn not-proved outcomes into proved ones — never the
 	// reverse.
 	Lemmas *smt.LemmaPool
-	// Interner, when non-nil, hash-conses every term the Verifier builds,
-	// so structurally equal terms are pointer-identical and obligation
-	// cache keys derive from term IDs instead of full serializations.
-	// Verifiers sharing an engine should share its interner: that is what
-	// makes their obligation-cache keys agree. When nil (and interning is
-	// not disabled) the Verifier creates a private interner.
+	// Interner hash-conses every term the Verifier builds, so structurally
+	// equal terms are pointer-identical and obligation cache keys derive
+	// from term IDs instead of full serializations. Verifiers sharing an
+	// engine should share its interner: that is what makes their
+	// obligation-cache keys agree. When nil the Verifier creates a private
+	// interner.
 	Interner *fol.Interner
-	// DisableInterning builds all terms through the legacy tree-allocating
-	// constructors. Verdicts are identical either way (the differential
-	// suite asserts it); the switch exists for that comparison and as an
-	// escape hatch.
-	DisableInterning bool
 	// DisableIncremental solves every obligation with a fresh one-shot
 	// CheckSat instead of reusing assumption-guarded solver sessions per
 	// shared prefix. Verdicts are identical either way (the incremental
@@ -247,18 +240,14 @@ func New() *Verifier {
 // budget, wall-clock deadline, and a shared obligation cache.
 func NewWithConfig(cfg Config) *Verifier {
 	in := cfg.Interner
-	if in == nil && !cfg.DisableInterning {
+	if in == nil {
 		in = fol.NewInterner()
 	}
-	g := symbolic.NewGenIn(in)
+	g := symbolic.NewGen(in)
 	s := smt.New()
 	s.Deadline = cfg.Deadline
 	s.Ctx = cfg.Ctx
-	s.Interner = in // nil under DisableInterning: the solver interns privately
-	// Legacy mode means the whole pre-interning pipeline, including the
-	// absence of ID-keyed theory caching — that keeps it an honest
-	// before/after baseline for the allocation benchmarks.
-	s.NoTheoryCache = in == nil
+	s.Interner = in
 	mc := cfg.MaxCandidates
 	if mc <= 0 {
 		mc = 64
@@ -413,10 +402,7 @@ func (v *Verifier) validUnder(prefix, suffix *fol.Term) bool {
 	if v.cache == nil && v.store == nil {
 		return v.solveObligation(prefix, suffix) == smt.Unsat
 	}
-	f := fol.Implies(prefix, suffix)
-	if v.in != nil {
-		f = v.in.Intern(f)
-	}
+	f := v.in.Intern(fol.Implies(prefix, suffix))
 	var key string
 	if v.cache != nil {
 		key = v.obligationKey(f)
@@ -429,8 +415,8 @@ func (v *Verifier) validUnder(prefix, suffix *fol.Term) bool {
 	var ckey string
 	if v.store != nil {
 		// The durable tier keys on the canonical serialization — an O(1)
-		// field read for interned terms — so a verdict computed under any
-		// interner epoch, or by a previous process, answers here.
+		// field read — so a verdict computed under any interner epoch, or
+		// by a previous process, answers here.
 		ckey = v.canonicalKey(f)
 		if val, ok := v.store.LookupVerdict(ckey); ok {
 			v.stats.StoreHits++
@@ -457,15 +443,7 @@ func (v *Verifier) validUnder(prefix, suffix *fol.Term) bool {
 // canonicalKey is the interner-independent serialization of an obligation,
 // used by the durable tier, namespaced by the constraint digest when one
 // is active (see Config.ConstraintDigest).
-func (v *Verifier) canonicalKey(f *fol.Term) string {
-	var key string
-	if f.Interned() {
-		key = f.Key()
-	} else {
-		key = fol.Canonical(f)
-	}
-	return v.digestKey(key)
-}
+func (v *Verifier) canonicalKey(f *fol.Term) string { return v.digestKey(f.Key()) }
 
 // digestKey prefixes a cache/store key with the active constraint digest.
 // Constraint-free catalogs (empty digest) keep the undecorated key, so
@@ -487,10 +465,7 @@ func (v *Verifier) solveObligation(prefix, suffix *fol.Term) smt.Result {
 	if !v.incremental {
 		return v.solver.CheckSat(fol.Not(fol.Implies(prefix, suffix)))
 	}
-	if v.in != nil {
-		prefix = v.in.Intern(prefix)
-	}
-	return v.sessionFor(prefix).CheckSatUnder(fol.Not(suffix))
+	return v.sessionFor(v.in.Intern(prefix)).CheckSatUnder(fol.Not(suffix))
 }
 
 // maxLiveSessions bounds the session table by entry count, and
@@ -592,20 +567,12 @@ func (v *Verifier) sessEvict(keep *sessionEntry) {
 	}
 }
 
-// obligationKey derives the cache key for an obligation. With an interner
-// the key is the interner's process-unique tag plus the term's ID — O(1),
-// no tree walk — because within one interner the ID identifies the term
-// and the tag prevents aliasing across interners sharing a cache. Without
-// one it is the full canonical serialization.
+// obligationKey derives the cache key for an obligation interned in the
+// Verifier's interner: the interner's process-unique tag plus the term's
+// ID — O(1), no tree walk — because within one interner the ID identifies
+// the term and the tag prevents aliasing across interners sharing a cache.
 func (v *Verifier) obligationKey(f *fol.Term) string {
-	if v.in != nil {
-		// Identity on the hot path (everything the Verifier builds is
-		// already interned); adopts the odd legacy leaf introduced by
-		// variable renaming.
-		f = v.in.Intern(f)
-		return v.digestKey("i" + strconv.FormatUint(v.in.Tag(), 36) + ":" + strconv.FormatUint(uint64(f.ID()), 36))
-	}
-	return v.digestKey(fol.Canonical(f))
+	return v.digestKey("i" + strconv.FormatUint(v.in.Tag(), 36) + ":" + strconv.FormatUint(uint64(f.ID()), 36))
 }
 
 // veriCard is Alg. 1: dispatch on category, with type-alignment coercions
