@@ -2,7 +2,8 @@
 # Repo verification gate: vet, build, and the full test suite under the
 # race detector (the engine's determinism and worker-ownership tests run
 # with 8 concurrent workers, so -race exercises the batch engine's
-# sharing for real), every benchmark run once, then end-to-end smoke
+# sharing for real), every benchmark run once, a bounded fuzz of the
+# simplex's rational arithmetic, then end-to-end smoke
 # tests: spes-serve boot/verify/drain, chaos under -faults, warm restart
 # through the durable store, a 2-shard spes-router cluster surviving a
 # shard kill via failover, a refutation stage proving buggy rewrites come
@@ -50,6 +51,9 @@ go test -race ./...
 # -benchtime 1x executes each benchmark body a single time, so a benchmark
 # that no longer works fails here instead of only when someone measures.
 go test -run '^$' -bench . -benchtime 1x ./...
+
+# Fuzz the simplex's exact rationals against math/big for a bounded time.
+go test -run '^$' -fuzz '^FuzzRatArith$' -fuzztime 10s ./internal/smt/
 
 # The differential verdict-parity suite (a Verifier on a fresh private
 # interner vs one on an interner shared across the run, as in the engine)

@@ -1,7 +1,6 @@
 package smt
 
 import (
-	"math/big"
 	"testing"
 
 	"spes/internal/fol"
@@ -11,6 +10,7 @@ import (
 // "solver-component microbenchmarks").
 
 func BenchmarkSimplexChain(b *testing.B) {
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		sx := newSimplex()
 		const n = 20
@@ -19,9 +19,9 @@ func BenchmarkSimplexChain(b *testing.B) {
 			vars[k] = sx.newVar()
 		}
 		for k := 1; k < n; k++ {
-			d := sx.defineSlack(map[int]*big.Rat{
-				vars[k]:   big.NewRat(1, 1),
-				vars[k-1]: big.NewRat(-1, 1),
+			d := sx.defineSlack([]entry{
+				{vars[k], ratInt(1)},
+				{vars[k-1], ratInt(-1)},
 			})
 			sx.assertLower(d, dInt(1), -1) // x[k] >= x[k-1] + 1
 		}

@@ -12,60 +12,48 @@
 // the incompleteness the paper already accepts from Z3 (§5.5).
 package smt
 
-import (
-	"fmt"
-	"math/big"
-)
-
 // delta is a rational extended with an infinitesimal component: value
 // R + D·δ where δ is positive and smaller than any positive rational. Strict
 // bounds become weak bounds on delta-rationals (x < c ⇔ x ≤ c − δ), the
-// standard trick from the Dutertre–de Moura simplex.
+// standard trick from the Dutertre–de Moura simplex. The zero value is 0.
 type delta struct {
-	R *big.Rat
-	D *big.Rat
+	R rational
+	D rational
 }
 
-func dRat(r *big.Rat) delta { return delta{R: new(big.Rat).Set(r), D: new(big.Rat)} }
+func dRat(r rational) delta { return delta{R: r} }
 
-func dInt(v int64) delta { return delta{R: big.NewRat(v, 1), D: new(big.Rat)} }
+func dInt(v int64) delta { return delta{R: ratInt(v)} }
 
 // dStrict returns r with the infinitesimal shifted by dir (+1 for lower
 // bounds from >, -1 for upper bounds from <).
-func dStrict(r *big.Rat, dir int64) delta {
-	return delta{R: new(big.Rat).Set(r), D: big.NewRat(dir, 1)}
-}
-
-func (d delta) clone() delta {
-	return delta{R: new(big.Rat).Set(d.R), D: new(big.Rat).Set(d.D)}
-}
+func dStrict(r rational, dir int64) delta { return delta{R: r, D: ratInt(dir)} }
 
 // cmp orders delta-rationals lexicographically on (R, D).
 func (d delta) cmp(o delta) int {
-	if c := d.R.Cmp(o.R); c != 0 {
+	if c := d.R.cmp(o.R); c != 0 {
 		return c
 	}
-	return d.D.Cmp(o.D)
+	return d.D.cmp(o.D)
 }
 
 // add returns d + o.
-func (d delta) add(o delta) delta {
-	return delta{R: new(big.Rat).Add(d.R, o.R), D: new(big.Rat).Add(d.D, o.D)}
-}
+func (d delta) add(o delta) delta { return delta{R: d.R.add(o.R), D: d.D.add(o.D)} }
 
 // sub returns d - o.
-func (d delta) sub(o delta) delta {
-	return delta{R: new(big.Rat).Sub(d.R, o.R), D: new(big.Rat).Sub(d.D, o.D)}
-}
+func (d delta) sub(o delta) delta { return delta{R: d.R.sub(o.R), D: d.D.sub(o.D)} }
 
 // scale returns d * c for a rational scalar c.
-func (d delta) scale(c *big.Rat) delta {
-	return delta{R: new(big.Rat).Mul(d.R, c), D: new(big.Rat).Mul(d.D, c)}
-}
+func (d delta) scale(c rational) delta { return delta{R: d.R.mul(c), D: d.D.mul(c)} }
 
+// String prints R, then D·δ with its sign: 5, 5+1δ, 5-1δ.
 func (d delta) String() string {
-	if d.D.Sign() == 0 {
-		return d.R.RatString()
+	if d.D.sign() == 0 {
+		return d.R.String()
 	}
-	return fmt.Sprintf("%s%+sδ", d.R.RatString(), d.D.RatString())
+	sign := ""
+	if d.D.sign() > 0 {
+		sign = "+"
+	}
+	return d.R.String() + sign + d.D.String() + "δ"
 }

@@ -1,80 +1,73 @@
 package smt
 
-import (
-	"math/big"
+import "spes/internal/fol"
 
-	"spes/internal/fol"
-)
-
-// linForm is a linear combination Σ coeffs[k]·vars[k] + konst, where each
-// key k is the interned term ID of an "opaque" term the arithmetic theory
-// treats as a variable: a plain numeric variable, an uninterpreted
-// application, a non-linear product, or a symbolic division. All terms in
-// one linForm must share an interner (theoryCheckExplain interns its
-// literals up front), or IDs would not identify terms.
+// linForm is a linear combination Σ terms[k].c·terms[k].t + konst over
+// distinct "opaque" terms the arithmetic theory treats as variables: plain
+// numeric variables, uninterpreted applications, non-linear products, and
+// symbolic divisions. Terms are identified by interned term ID, so all
+// terms in one linForm must share an interner (theoryCheckExplain interns
+// its literals up front). The order of terms carries no meaning.
 type linForm struct {
-	coeffs map[uint32]*big.Rat
-	opaque map[uint32]*fol.Term // term ID -> opaque term
-	konst  *big.Rat
+	terms []linTerm
+	konst rational
 }
 
-func newLinForm() *linForm {
-	return &linForm{
-		coeffs: make(map[uint32]*big.Rat),
-		opaque: make(map[uint32]*fol.Term),
-		konst:  new(big.Rat),
-	}
+// linTerm is one coefficient·term summand of a linForm.
+type linTerm struct {
+	t *fol.Term
+	c rational
 }
 
-func (l *linForm) addTerm(t *fol.Term, c *big.Rat) {
-	key := t.ID()
-	if cur, ok := l.coeffs[key]; ok {
-		cur.Add(cur, c)
-		if cur.Sign() == 0 {
-			delete(l.coeffs, key)
-			delete(l.opaque, key)
+func (l *linForm) addTerm(t *fol.Term, c rational) {
+	for i := range l.terms {
+		if l.terms[i].t.ID() != t.ID() {
+			continue
+		}
+		if sum := l.terms[i].c.add(c); sum.sign() != 0 {
+			l.terms[i].c = sum
+		} else {
+			l.terms = append(l.terms[:i], l.terms[i+1:]...)
 		}
 		return
 	}
-	l.coeffs[key] = new(big.Rat).Set(c)
-	l.opaque[key] = t
+	l.terms = append(l.terms, linTerm{t, c})
 }
 
 // addScaled accumulates c·o into l.
-func (l *linForm) addScaled(o *linForm, c *big.Rat) {
-	l.konst.Add(l.konst, new(big.Rat).Mul(o.konst, c))
-	for k, oc := range o.coeffs {
-		t := o.opaque[k]
-		l.addTerm(t, new(big.Rat).Mul(oc, c))
+func (l *linForm) addScaled(o *linForm, c rational) {
+	l.konst = l.konst.add(o.konst.mul(c))
+	for _, ot := range o.terms {
+		l.addTerm(ot.t, ot.c.mul(c))
 	}
 }
 
 // isConst reports whether l has no variable part.
-func (l *linForm) isConst() bool { return len(l.coeffs) == 0 }
+func (l *linForm) isConst() bool { return len(l.terms) == 0 }
 
 // linearize decomposes a numeric term into a linear form. Sub-terms the
 // linear theory cannot interpret become opaque variables (and are separately
 // visible to congruence closure, which sees their internal structure).
 func linearize(t *fol.Term) *linForm {
-	l := newLinForm()
-	linearizeInto(t, big.NewRat(1, 1), l)
+	l := &linForm{}
+	linearizeInto(t, one, l)
 	return l
 }
 
-func linearizeInto(t *fol.Term, c *big.Rat, l *linForm) {
+func linearizeInto(t *fol.Term, c rational, l *linForm) {
 	switch t.Kind {
 	case fol.KNum:
-		l.konst.Add(l.konst, new(big.Rat).Mul(c, t.Rat))
+		l.konst = l.konst.add(c.mul(ratOfBig(t.Rat)))
 	case fol.KAdd:
 		for _, a := range t.Args {
 			linearizeInto(a, c, l)
 		}
 	case fol.KNeg:
-		linearizeInto(t.Args[0], new(big.Rat).Neg(c), l)
+		linearizeInto(t.Args[0], c.neg(), l)
 	case fol.KMul:
 		// fol.Mul normalizes constants into a single leading factor.
 		if t.Args[0].Kind == fol.KNum {
-			cc := new(big.Rat).Mul(c, t.Args[0].Rat)
+			cc := c.mul(ratOfBig(t.Args[0].Rat))
 			rest := t.Args[1:]
 			if len(rest) == 1 {
 				linearizeInto(rest[0], cc, l)
@@ -94,6 +87,6 @@ func linearizeInto(t *fol.Term, c *big.Rat, l *linForm) {
 // diff returns linearize(a) - linearize(b).
 func diff(a, b *fol.Term) *linForm {
 	l := linearize(a)
-	l.addScaled(linearize(b), big.NewRat(-1, 1))
+	l.addScaled(linearize(b), ratInt(-1))
 	return l
 }

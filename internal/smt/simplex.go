@@ -1,10 +1,5 @@
 package smt
 
-import (
-	"math/big"
-	"sort"
-)
-
 // simplex is a general simplex solver for linear rational arithmetic in the
 // style of Dutertre and de Moura ("A Fast Linear-Arithmetic Solver for
 // DPLL(T)"): variables carry optional lower/upper delta-rational bounds, a
@@ -13,48 +8,81 @@ import (
 // row proves infeasibility.
 //
 // Usage is build-then-check: allocate variables, add rows, assert bounds,
-// then call check. probeEqual supports the theory-combination layer's
+// then call check. probeZero supports the theory-combination layer's
 // implied-equality detection by re-checking strengthened copies.
+//
+// Everything is held by value in slices, and the pivot reuses row storage,
+// so once the tableau's rows have grown to their working size a check with
+// inline-sized numbers allocates nothing.
 type simplex struct {
-	n        int
-	lower    []*delta
-	upper    []*delta
-	lowerWhy []int // originating constraint tag per lower bound (-1 unknown)
-	upperWhy []int
-	rows     map[int]map[int]*big.Rat // basic variable -> linear form over non-basic variables
-	isBasic  []bool
-	beta     []delta
-	inited   bool
+	n     int
+	lower []bound
+	upper []bound
+	// rows[b] defines basic variable b over non-basic variables; nil for a
+	// non-basic b.
+	rows    [][]entry
+	isBasic []bool
+	beta    []delta
+	inited  bool
 	// conflictWhy holds the constraint tags explaining the most recent
 	// infeasibility verdict (nil when unavailable).
 	conflictWhy []int
+
+	// Scratch reused across pivots and probes: the row a substitution
+	// merges into, and probeZero's snapshots of bounds and assignment.
+	buf                    []entry
+	savedLower, savedUpper []bound
+	savedBeta              []delta
 }
 
-func newSimplex() *simplex {
-	return &simplex{rows: make(map[int]map[int]*big.Rat)}
+// entry is one coefficient·variable term of a tableau row. A row lists its
+// entries in increasing variable order, with no zero coefficient and no
+// basic variable.
+type entry struct {
+	x int
+	c rational
+}
+
+// bound is an optional bound on a variable.
+type bound struct {
+	val delta
+	why int // originating constraint tag for conflict explanations (-1 unknown)
+	set bool
+}
+
+func newSimplex() *simplex { return &simplex{} }
+
+// reserve sizes a fresh simplex's per-variable slices for n variables, so
+// allocating them appends without regrowing.
+func (s *simplex) reserve(n int) {
+	s.lower = make([]bound, 0, n)
+	s.upper = make([]bound, 0, n)
+	s.rows = make([][]entry, 0, n)
+	s.isBasic = make([]bool, 0, n)
+	s.beta = make([]delta, 0, n)
 }
 
 // newVar allocates a fresh variable and returns its index.
 func (s *simplex) newVar() int {
 	v := s.n
 	s.n++
-	s.lower = append(s.lower, nil)
-	s.upper = append(s.upper, nil)
-	s.lowerWhy = append(s.lowerWhy, -1)
-	s.upperWhy = append(s.upperWhy, -1)
+	s.lower = append(s.lower, bound{why: -1})
+	s.upper = append(s.upper, bound{why: -1})
+	s.rows = append(s.rows, nil)
 	s.isBasic = append(s.isBasic, false)
-	s.beta = append(s.beta, dInt(0))
+	s.beta = append(s.beta, delta{})
 	return v
 }
 
 // defineSlack allocates a slack variable defined as the given linear
-// combination (which may mention basic variables; they are expanded). The
-// slack becomes basic.
-func (s *simplex) defineSlack(coeffs map[int]*big.Rat) int {
+// combination, in any order and possibly repeating a variable (repeats are
+// summed). It may mention basic variables; they are expanded. The slack
+// becomes basic.
+func (s *simplex) defineSlack(coeffs []entry) int {
 	v := s.newVar()
-	row := make(map[int]*big.Rat)
-	for x, c := range coeffs {
-		s.accumulate(row, x, c)
+	row := make([]entry, 0, len(coeffs))
+	for _, e := range coeffs {
+		row = s.accumulate(row, e.x, e.c)
 	}
 	s.rows[v] = row
 	s.isBasic[v] = true
@@ -62,83 +90,102 @@ func (s *simplex) defineSlack(coeffs map[int]*big.Rat) int {
 }
 
 // accumulate adds c*x into row, expanding x if it is basic.
-func (s *simplex) accumulate(row map[int]*big.Rat, x int, c *big.Rat) {
+func (s *simplex) accumulate(row []entry, x int, c rational) []entry {
 	if s.isBasic[x] {
-		for y, cy := range s.rows[x] {
-			s.accumulate(row, y, new(big.Rat).Mul(c, cy))
+		for _, e := range s.rows[x] {
+			row = s.accumulate(row, e.x, c.mul(e.c))
 		}
-		return
+		return row
 	}
-	if cur, ok := row[x]; ok {
-		cur.Add(cur, c)
-		if cur.Sign() == 0 {
-			delete(row, x)
+	i := 0
+	for i < len(row) && row[i].x < x {
+		i++
+	}
+	if i < len(row) && row[i].x == x {
+		if sum := row[i].c.add(c); sum.sign() != 0 {
+			row[i].c = sum
+			return row
 		}
-		return
+		return append(row[:i], row[i+1:]...)
 	}
-	if c.Sign() == 0 {
-		return
+	if c.sign() == 0 {
+		return row
 	}
-	row[x] = new(big.Rat).Set(c)
+	row = append(row, entry{})
+	copy(row[i+1:], row[i:])
+	row[i] = entry{x, c}
+	return row
+}
+
+// find returns the position of x in row, or -1.
+func find(row []entry, x int) int {
+	for i, e := range row {
+		if e.x >= x {
+			if e.x == x {
+				return i
+			}
+			break
+		}
+	}
+	return -1
 }
 
 // assertLower tightens x's lower bound; it reports false on an immediate
 // bound conflict (lower exceeds upper). why tags the originating
 // constraint for conflict explanations.
 func (s *simplex) assertLower(x int, b delta, why int) bool {
-	if s.lower[x] == nil || b.cmp(*s.lower[x]) > 0 {
-		bb := b.clone()
-		s.lower[x] = &bb
-		s.lowerWhy[x] = why
+	if !s.lower[x].set || b.cmp(s.lower[x].val) > 0 {
+		s.lower[x] = bound{val: b, why: why, set: true}
 	}
-	if s.upper[x] != nil && s.lower[x].cmp(*s.upper[x]) > 0 {
-		s.conflictWhy = []int{s.lowerWhy[x], s.upperWhy[x]}
-		return false
-	}
-	return true
+	return !s.crossed(x)
 }
 
 // assertUpper tightens x's upper bound; it reports false on an immediate
 // bound conflict.
 func (s *simplex) assertUpper(x int, b delta, why int) bool {
-	if s.upper[x] == nil || b.cmp(*s.upper[x]) < 0 {
-		bb := b.clone()
-		s.upper[x] = &bb
-		s.upperWhy[x] = why
+	if !s.upper[x].set || b.cmp(s.upper[x].val) < 0 {
+		s.upper[x] = bound{val: b, why: why, set: true}
 	}
-	if s.lower[x] != nil && s.lower[x].cmp(*s.upper[x]) > 0 {
-		s.conflictWhy = []int{s.lowerWhy[x], s.upperWhy[x]}
-		return false
+	return !s.crossed(x)
+}
+
+// crossed reports whether x's lower bound exceeds its upper bound, and if
+// so records the pair as the conflict explanation.
+func (s *simplex) crossed(x int) bool {
+	lo, up := &s.lower[x], &s.upper[x]
+	if lo.set && up.set && lo.val.cmp(up.val) > 0 {
+		s.conflictWhy = []int{lo.why, up.why}
+		return true
 	}
-	return true
+	return false
 }
 
 // initAssign sets every non-basic variable to a value within its bounds and
 // recomputes basic variables from the tableau.
 func (s *simplex) initAssign() {
 	for x := 0; x < s.n; x++ {
-		if s.isBasic[x] {
-			continue
-		}
 		switch {
-		case s.lower[x] != nil:
-			s.beta[x] = s.lower[x].clone()
-		case s.upper[x] != nil:
-			s.beta[x] = s.upper[x].clone()
+		case s.isBasic[x]:
+		case s.lower[x].set:
+			s.beta[x] = s.lower[x].val
+		case s.upper[x].set:
+			s.beta[x] = s.upper[x].val
 		default:
-			s.beta[x] = dInt(0)
+			s.beta[x] = delta{}
 		}
 	}
-	for b, row := range s.rows {
-		s.beta[b] = s.rowValue(row)
+	for b := 0; b < s.n; b++ {
+		if s.isBasic[b] {
+			s.beta[b] = s.rowValue(s.rows[b])
+		}
 	}
 	s.inited = true
 }
 
-func (s *simplex) rowValue(row map[int]*big.Rat) delta {
-	v := dInt(0)
-	for x, c := range row {
-		v = v.add(s.beta[x].scale(c))
+func (s *simplex) rowValue(row []entry) delta {
+	var v delta
+	for _, e := range row {
+		v = v.add(s.beta[e.x].scale(e.c))
 	}
 	return v
 }
@@ -151,8 +198,7 @@ func (s *simplex) check() bool {
 	}
 	// Quick bound-consistency scan (covers variables in no row).
 	for x := 0; x < s.n; x++ {
-		if s.lower[x] != nil && s.upper[x] != nil && s.lower[x].cmp(*s.upper[x]) > 0 {
-			s.conflictWhy = []int{s.lowerWhy[x], s.upperWhy[x]}
+		if s.crossed(x) {
 			return false
 		}
 	}
@@ -162,20 +208,16 @@ func (s *simplex) check() bool {
 			return true
 		}
 		row := s.rows[b]
-		if s.lower[b] != nil && s.beta[b].cmp(*s.lower[b]) < 0 {
-			j := s.findPivot(row, true)
-			if j == -1 {
-				s.explainRow(b, row, true)
-				return false
-			}
-			s.pivotAndUpdate(b, j, s.lower[b].clone())
+		increase := s.lower[b].set && s.beta[b].cmp(s.lower[b].val) < 0
+		j := s.findPivot(row, increase)
+		if j == -1 {
+			s.explainRow(b, row, increase)
+			return false
+		}
+		if increase {
+			s.pivotAndUpdate(b, j, s.lower[b].val)
 		} else {
-			j := s.findPivot(row, false)
-			if j == -1 {
-				s.explainRow(b, row, false)
-				return false
-			}
-			s.pivotAndUpdate(b, j, s.upper[b].clone())
+			s.pivotAndUpdate(b, j, s.upper[b].val)
 		}
 	}
 }
@@ -183,34 +225,21 @@ func (s *simplex) check() bool {
 // explainRow records the infeasibility explanation for a stuck row: the
 // violated bound of the basic variable plus the blocking bound of every
 // non-basic variable in its row (the standard Dutertre–de Moura
-// explanation). The row is walked in variable order, not map order: the
-// explanation's order carries into core minimization and from there into
-// blocking clauses and stored lemmas, which must not vary between runs.
-func (s *simplex) explainRow(b int, row map[int]*big.Rat, increase bool) {
-	why := []int{}
+// explanation), in variable order. The explanation's order carries into
+// core minimization and from there into blocking clauses and stored
+// lemmas, which must not vary between runs.
+func (s *simplex) explainRow(b int, row []entry, increase bool) {
+	why := make([]int, 1, len(row)+1)
 	if increase {
-		why = append(why, s.lowerWhy[b])
+		why[0] = s.lower[b].why
 	} else {
-		why = append(why, s.upperWhy[b])
+		why[0] = s.upper[b].why
 	}
-	xs := make([]int, 0, len(row))
-	for x := range row {
-		xs = append(xs, x)
-	}
-	sort.Ints(xs)
-	for _, x := range xs {
-		c := row[x]
-		if c.Sign() == 0 {
-			continue
-		}
-		pos := c.Sign() > 0
-		if !increase {
-			pos = !pos
-		}
-		if pos {
-			why = append(why, s.upperWhy[x])
+	for _, e := range row {
+		if (e.c.sign() > 0) == increase {
+			why = append(why, s.upper[e.x].why)
 		} else {
-			why = append(why, s.lowerWhy[x])
+			why = append(why, s.lower[e.x].why)
 		}
 	}
 	s.conflictWhy = why
@@ -223,10 +252,10 @@ func (s *simplex) findViolating() int {
 		if !s.isBasic[b] {
 			continue
 		}
-		if s.lower[b] != nil && s.beta[b].cmp(*s.lower[b]) < 0 {
+		if s.lower[b].set && s.beta[b].cmp(s.lower[b].val) < 0 {
 			return b
 		}
-		if s.upper[b] != nil && s.beta[b].cmp(*s.upper[b]) > 0 {
+		if s.upper[b].set && s.beta[b].cmp(s.upper[b].val) > 0 {
 			return b
 		}
 	}
@@ -235,88 +264,102 @@ func (s *simplex) findViolating() int {
 
 // findPivot returns the smallest-index non-basic variable in row that can
 // move in the direction needed to increase (or decrease) the basic variable,
-// or -1 if the row proves infeasibility (Bland's rule, part two).
-func (s *simplex) findPivot(row map[int]*big.Rat, increase bool) int {
-	best := -1
-	for x, c := range row {
-		if c.Sign() == 0 {
-			continue
-		}
-		canUse := false
-		pos := c.Sign() > 0
-		if !increase {
-			pos = !pos
-		}
-		if pos {
-			canUse = s.upper[x] == nil || s.beta[x].cmp(*s.upper[x]) < 0
-		} else {
-			canUse = s.lower[x] == nil || s.beta[x].cmp(*s.lower[x]) > 0
-		}
-		if canUse && (best == -1 || x < best) {
-			best = x
+// or -1 if the row proves infeasibility (Bland's rule, part two). Rows are
+// in variable order, so the first usable entry is the smallest.
+func (s *simplex) findPivot(row []entry, increase bool) int {
+	for _, e := range row {
+		if (e.c.sign() > 0) == increase {
+			if !s.upper[e.x].set || s.beta[e.x].cmp(s.upper[e.x].val) < 0 {
+				return e.x
+			}
+		} else if !s.lower[e.x].set || s.beta[e.x].cmp(s.lower[e.x].val) > 0 {
+			return e.x
 		}
 	}
-	return best
+	return -1
 }
 
 // pivotAndUpdate moves basic variable b to value v by adjusting non-basic j,
 // then swaps their roles in the tableau.
 func (s *simplex) pivotAndUpdate(b, j int, v delta) {
-	a := s.rows[b][j]
-	theta := v.sub(s.beta[b]).scale(new(big.Rat).Inv(a))
+	row := s.rows[b]
+	theta := v.sub(s.beta[b]).scale(one.quo(row[find(row, j)].c))
 	s.beta[b] = v
 	s.beta[j] = s.beta[j].add(theta)
-	for i, row := range s.rows {
-		if i == b {
+	for i := 0; i < s.n; i++ {
+		if i == b || !s.isBasic[i] {
 			continue
 		}
-		if c, ok := row[j]; ok {
-			s.beta[i] = s.beta[i].add(theta.scale(c))
+		if k := find(s.rows[i], j); k >= 0 {
+			s.beta[i] = s.beta[i].add(theta.scale(s.rows[i][k].c))
 		}
 	}
 	s.pivot(b, j)
 }
 
-// pivot swaps basic b with non-basic j.
+// pivot swaps basic b with non-basic j. Row b's storage becomes row j, and
+// each substitution merges into the scratch row and hands the old storage
+// back as scratch, so storage is allocated only while rows grow.
 func (s *simplex) pivot(b, j int) {
 	row := s.rows[b]
-	a := row[j]
-	inv := new(big.Rat).Inv(a)
-	// Solve row for j: j = (b - Σ_{k≠j} c_k x_k) / a.
-	newRow := make(map[int]*big.Rat, len(row))
-	newRow[b] = new(big.Rat).Set(inv)
-	for k, c := range row {
-		if k == j {
-			continue
+	p := find(row, j)
+	inv := one.quo(row[p].c)
+	// Solve row for j: j = inv·b − Σ_{k≠j} (c_k·inv)·x_k.
+	for k := range row {
+		if k != p {
+			row[k].c = row[k].c.mul(inv).neg()
 		}
-		newRow[k] = new(big.Rat).Neg(new(big.Rat).Mul(c, inv))
 	}
-	delete(s.rows, b)
-	s.rows[j] = newRow
+	row[p] = entry{b, inv}
+	// Move b's entry to its place in variable order.
+	for ; p > 0 && row[p-1].x > b; p-- {
+		row[p-1], row[p] = row[p], row[p-1]
+	}
+	for ; p+1 < len(row) && row[p+1].x < b; p++ {
+		row[p], row[p+1] = row[p+1], row[p]
+	}
+	s.rows[b] = nil
+	s.rows[j] = row
 	s.isBasic[b] = false
 	s.isBasic[j] = true
 	// Substitute j out of every other row.
-	for i, r := range s.rows {
-		if i == j {
+	for i := 0; i < s.n; i++ {
+		if i == j || !s.isBasic[i] {
 			continue
 		}
-		c, ok := r[j]
-		if !ok {
-			continue
-		}
-		delete(r, j)
-		for k, ck := range newRow {
-			add := new(big.Rat).Mul(c, ck)
-			if cur, ok := r[k]; ok {
-				cur.Add(cur, add)
-				if cur.Sign() == 0 {
-					delete(r, k)
-				}
-			} else if add.Sign() != 0 {
-				r[k] = add
-			}
+		if q := find(s.rows[i], j); q >= 0 {
+			old := s.rows[i]
+			s.rows[i] = s.substitute(old, q, row)
+			s.buf = old[:0]
 		}
 	}
+}
+
+// substitute returns r with its entry at q, r[q].c·x_j, replaced by
+// r[q].c·nr where nr is x_j's defining row. It merges into s.buf.
+func (s *simplex) substitute(r []entry, q int, nr []entry) []entry {
+	c := r[q].c
+	out := s.buf[:0]
+	a, k := 0, 0
+	for a < len(r) || k < len(nr) {
+		switch {
+		case a == q:
+			a++
+		case k == len(nr) || a < len(r) && r[a].x < nr[k].x:
+			out = append(out, r[a])
+			a++
+		case a == len(r) || nr[k].x < r[a].x:
+			out = append(out, entry{nr[k].x, c.mul(nr[k].c)})
+			k++
+		default:
+			if sum := r[a].c.add(c.mul(nr[k].c)); sum.sign() != 0 {
+				out = append(out, entry{r[a].x, sum})
+			}
+			a++
+			k++
+		}
+	}
+	return out
 }
 
 // value returns the current assignment of x (valid after a successful
@@ -325,27 +368,23 @@ func (s *simplex) value(x int) delta { return s.beta[x] }
 
 // probeZero reports whether Σ row + konst = 0 is entailed by the asserted
 // constraints, established by checking that both a strictly negative and a
-// strictly positive value are infeasible. It requires a prior successful
-// check and restores all observable state (bounds, assignment, conflict
-// explanation) before returning — the probe runs in place instead of on a
-// deep clone, saving two tableau copies per probe. The tableau basis may
-// end up pivoted differently, which is unobservable: feasibility and
-// variable values are basis-independent, and the probe slack is pivoted
-// back out before return.
-func (s *simplex) probeZero(row map[int]*big.Rat, konst *big.Rat) bool {
+// strictly positive value are infeasible. row is in any order (as for
+// defineSlack). It requires a prior successful check and restores all
+// observable state (bounds, assignment, conflict explanation) before
+// returning — the probe runs in place instead of on a deep clone. The
+// tableau basis may end up pivoted differently, which is unobservable:
+// feasibility and variable values are basis-independent, and the probe
+// slack is pivoted back out before return.
+func (s *simplex) probeZero(row []entry, konst rational) bool {
 	savedWhy := s.conflictWhy
 	d := s.defineSlack(row)
 	s.beta[d] = s.rowValue(s.rows[d])
-	// Bounds are replaced, never mutated in place, and delta arithmetic is
-	// functional, so shallow snapshots restore the pre-probe state exactly.
-	savedLower := append([]*delta(nil), s.lower...)
-	savedUpper := append([]*delta(nil), s.upper...)
-	savedLowerWhy := append([]int(nil), s.lowerWhy...)
-	savedUpperWhy := append([]int(nil), s.upperWhy...)
-	savedBeta := append([]delta(nil), s.beta...)
-	bound := new(big.Rat).Neg(konst) // Σ row ⋈ -konst
+	s.savedLower = append(s.savedLower[:0], s.lower...)
+	s.savedUpper = append(s.savedUpper[:0], s.upper...)
+	s.savedBeta = append(s.savedBeta[:0], s.beta...)
+	rhs := konst.neg() // Σ row ⋈ -konst
 	entailed := true
-	for _, dir := range []int64{-1, 1} {
+	for _, dir := range [2]int64{-1, 1} {
 		// The slack must be basic when its probe bound is asserted: check()
 		// only repairs out-of-bounds basic variables, so a bound on a
 		// non-basic d (pivoted out by the previous direction) would be
@@ -355,18 +394,16 @@ func (s *simplex) probeZero(row map[int]*big.Rat, konst *big.Rat) bool {
 		}
 		ok := true
 		if dir < 0 {
-			ok = s.assertUpper(d, dStrict(bound, -1), -1) // Σ row + konst < 0
+			ok = s.assertUpper(d, dStrict(rhs, -1), -1) // Σ row + konst < 0
 		} else {
-			ok = s.assertLower(d, dStrict(bound, 1), -1) // Σ row + konst > 0
+			ok = s.assertLower(d, dStrict(rhs, 1), -1) // Σ row + konst > 0
 		}
 		if ok && s.check() {
 			entailed = false
 		}
-		copy(s.lower, savedLower)
-		copy(s.upper, savedUpper)
-		copy(s.lowerWhy, savedLowerWhy)
-		copy(s.upperWhy, savedUpperWhy)
-		copy(s.beta, savedBeta)
+		copy(s.lower, s.savedLower)
+		copy(s.upper, s.savedUpper)
+		copy(s.beta, s.savedBeta)
 		if !entailed {
 			break
 		}
@@ -380,16 +417,13 @@ func (s *simplex) probeZero(row map[int]*big.Rat, konst *big.Rat) bool {
 // that mentions it. The tableau always has one: d is determined by the
 // system it was defined into, and pivoting preserves the solution set.
 func (s *simplex) pivotIn(d int) {
-	best := -1
-	for b, row := range s.rows {
-		if c, ok := row[d]; ok && c.Sign() != 0 && (best == -1 || b < best) {
-			best = b
+	for b := 0; b < s.n; b++ {
+		if s.isBasic[b] && find(s.rows[b], d) >= 0 {
+			s.pivot(b, d)
+			return
 		}
 	}
-	if best == -1 {
-		panic("simplex: pivotIn on a variable absent from the tableau")
-	}
-	s.pivot(best, d)
+	panic("simplex: pivotIn on a variable absent from the tableau")
 }
 
 // popVar removes the most recently allocated variable d from the tableau.
@@ -404,12 +438,11 @@ func (s *simplex) popVar(d int) {
 	if !s.isBasic[d] {
 		s.pivotIn(d)
 	}
-	delete(s.rows, d)
+	s.rows[d] = nil
 	s.n--
 	s.lower = s.lower[:s.n]
 	s.upper = s.upper[:s.n]
-	s.lowerWhy = s.lowerWhy[:s.n]
-	s.upperWhy = s.upperWhy[:s.n]
+	s.rows = s.rows[:s.n]
 	s.isBasic = s.isBasic[:s.n]
 	s.beta = s.beta[:s.n]
 }

@@ -6,7 +6,7 @@ import (
 	"testing"
 )
 
-func rat(a, b int64) *big.Rat { return big.NewRat(a, b) }
+func rat(a, b int64) rational { return ratOfBig(big.NewRat(a, b)) }
 
 func TestSimplexFeasibleBox(t *testing.T) {
 	s := newSimplex()
@@ -40,7 +40,7 @@ func TestSimplexRowInfeasible(t *testing.T) {
 	s := newSimplex()
 	x := s.newVar()
 	y := s.newVar()
-	sl := s.defineSlack(map[int]*big.Rat{x: rat(1, 1), y: rat(1, 1)})
+	sl := s.defineSlack([]entry{{x, rat(1, 1)}, {y, rat(1, 1)}})
 	s.assertLower(sl, dInt(10), -1)
 	s.assertUpper(x, dInt(3), -1)
 	s.assertUpper(y, dInt(3), -1)
@@ -54,7 +54,7 @@ func TestSimplexRowFeasibleWitness(t *testing.T) {
 	s := newSimplex()
 	x := s.newVar()
 	y := s.newVar()
-	sl := s.defineSlack(map[int]*big.Rat{x: rat(1, 1), y: rat(2, 1)})
+	sl := s.defineSlack([]entry{{x, rat(1, 1)}, {y, rat(2, 1)}})
 	s.assertUpper(sl, dInt(8), -1)
 	s.assertLower(x, dInt(1), -1)
 	s.assertLower(y, dInt(2), -1)
@@ -117,10 +117,10 @@ func TestSimplexChainedEqualities(t *testing.T) {
 	// x = y, y = z, x >= 1, z <= 0 is infeasible.
 	s := newSimplex()
 	x, y, z := s.newVar(), s.newVar(), s.newVar()
-	d1 := s.defineSlack(map[int]*big.Rat{x: rat(1, 1), y: rat(-1, 1)})
+	d1 := s.defineSlack([]entry{{x, rat(1, 1)}, {y, rat(-1, 1)}})
 	s.assertLower(d1, dInt(0), -1)
 	s.assertUpper(d1, dInt(0), -1)
-	d2 := s.defineSlack(map[int]*big.Rat{y: rat(1, 1), z: rat(-1, 1)})
+	d2 := s.defineSlack([]entry{{y, rat(1, 1)}, {z, rat(-1, 1)}})
 	s.assertLower(d2, dInt(0), -1)
 	s.assertUpper(d2, dInt(0), -1)
 	s.assertLower(x, dInt(1), -1)
@@ -134,24 +134,24 @@ func TestSimplexProbeZero(t *testing.T) {
 	// With x = y asserted, x - y = 0 is entailed; with only x <= y it is not.
 	s := newSimplex()
 	x, y := s.newVar(), s.newVar()
-	d := s.defineSlack(map[int]*big.Rat{x: rat(1, 1), y: rat(-1, 1)})
+	d := s.defineSlack([]entry{{x, rat(1, 1)}, {y, rat(-1, 1)}})
 	s.assertLower(d, dInt(0), -1)
 	s.assertUpper(d, dInt(0), -1)
 	if !s.check() {
 		t.Fatal("feasible expected")
 	}
-	if !s.probeZero(map[int]*big.Rat{x: rat(1, 1), y: rat(-1, 1)}, new(big.Rat)) {
+	if !s.probeZero([]entry{{x, rat(1, 1)}, {y, rat(-1, 1)}}, rational{}) {
 		t.Error("x=y should be entailed")
 	}
 
 	s2 := newSimplex()
 	a, b := s2.newVar(), s2.newVar()
-	d2 := s2.defineSlack(map[int]*big.Rat{a: rat(1, 1), b: rat(-1, 1)})
+	d2 := s2.defineSlack([]entry{{a, rat(1, 1)}, {b, rat(-1, 1)}})
 	s2.assertUpper(d2, dInt(0), -1) // a <= b only
 	if !s2.check() {
 		t.Fatal("feasible expected")
 	}
-	if s2.probeZero(map[int]*big.Rat{a: rat(1, 1), b: rat(-1, 1)}, new(big.Rat)) {
+	if s2.probeZero([]entry{{a, rat(1, 1)}, {b, rat(-1, 1)}}, rational{}) {
 		t.Error("a=b should not be entailed by a<=b")
 	}
 }
@@ -160,14 +160,14 @@ func TestSimplexProbeZeroSandwich(t *testing.T) {
 	// x <= y ∧ y <= x entails x - y = 0 even without an equality row.
 	s := newSimplex()
 	x, y := s.newVar(), s.newVar()
-	d1 := s.defineSlack(map[int]*big.Rat{x: rat(1, 1), y: rat(-1, 1)})
+	d1 := s.defineSlack([]entry{{x, rat(1, 1)}, {y, rat(-1, 1)}})
 	s.assertUpper(d1, dInt(0), -1)
-	d2 := s.defineSlack(map[int]*big.Rat{y: rat(1, 1), x: rat(-1, 1)})
+	d2 := s.defineSlack([]entry{{y, rat(1, 1)}, {x, rat(-1, 1)}})
 	s.assertUpper(d2, dInt(0), -1)
 	if !s.check() {
 		t.Fatal("feasible expected")
 	}
-	if !s.probeZero(map[int]*big.Rat{x: rat(1, 1), y: rat(-1, 1)}, new(big.Rat)) {
+	if !s.probeZero([]entry{{x, rat(1, 1)}, {y, rat(-1, 1)}}, rational{}) {
 		t.Error("x=y should be entailed by the sandwich")
 	}
 }
@@ -177,9 +177,9 @@ func TestSimplexDegenerate(t *testing.T) {
 	// Bland's rule must terminate on.
 	s := newSimplex()
 	x1, x2, x3 := s.newVar(), s.newVar(), s.newVar()
-	r1 := s.defineSlack(map[int]*big.Rat{x1: rat(1, 1), x2: rat(1, 1), x3: rat(1, 1)})
-	r2 := s.defineSlack(map[int]*big.Rat{x1: rat(1, 1), x2: rat(-1, 1)})
-	r3 := s.defineSlack(map[int]*big.Rat{x2: rat(1, 1), x3: rat(-1, 1)})
+	r1 := s.defineSlack([]entry{{x1, rat(1, 1)}, {x2, rat(1, 1)}, {x3, rat(1, 1)}})
+	r2 := s.defineSlack([]entry{{x1, rat(1, 1)}, {x2, rat(-1, 1)}})
+	r3 := s.defineSlack([]entry{{x2, rat(1, 1)}, {x3, rat(-1, 1)}})
 	s.assertLower(r1, dInt(1), -1)
 	s.assertUpper(r1, dInt(1), -1)
 	s.assertLower(r2, dInt(0), -1)
@@ -189,7 +189,7 @@ func TestSimplexDegenerate(t *testing.T) {
 	if !s.check() {
 		t.Fatal("x1=x2=x3=1/3 should be found")
 	}
-	third := delta{R: rat(1, 3), D: new(big.Rat)}
+	third := delta{R: rat(1, 3)}
 	for _, v := range []int{x1, x2, x3} {
 		if s.value(v).cmp(third) != 0 {
 			t.Errorf("var %d = %v, want 1/3", v, s.value(v))
@@ -208,10 +208,10 @@ func TestDeltaArithmetic(t *testing.T) {
 		t.Errorf("1-δ+δ = %v, want 1", c)
 	}
 	d := a.scale(rat(-2, 1)) // -2 + 2δ
-	if d.R.Cmp(rat(-2, 1)) != 0 || d.D.Cmp(rat(2, 1)) != 0 {
+	if d.R.cmp(rat(-2, 1)) != 0 || d.D.cmp(rat(2, 1)) != 0 {
 		t.Errorf("scale: got %v", d)
 	}
-	if got := a.sub(b); got.R.Sign() != 0 || got.D.Cmp(rat(-1, 1)) != 0 {
+	if got := a.sub(b); got.R.sign() != 0 || got.D.cmp(rat(-1, 1)) != 0 {
 		t.Errorf("sub: got %v", got)
 	}
 }
@@ -225,10 +225,10 @@ func TestSimplexExplanationDeterministic(t *testing.T) {
 		// x0 + ... + x5 >= 100 with every xi <= 3 is infeasible; the
 		// explanation is the slack's lower bound plus all six upper bounds.
 		s := newSimplex()
-		coeffs := make(map[int]*big.Rat)
+		var coeffs []entry
 		for i := 0; i < 6; i++ {
 			x := s.newVar()
-			coeffs[x] = rat(1, 1)
+			coeffs = append(coeffs, entry{x, rat(1, 1)})
 			s.assertUpper(x, dInt(3), 10+i)
 		}
 		sl := s.defineSlack(coeffs)
@@ -246,5 +246,50 @@ func TestSimplexExplanationDeterministic(t *testing.T) {
 		if got := explain(); !reflect.DeepEqual(got, want) {
 			t.Fatalf("rebuild %d explained the conflict as %v, the first build as %v", i+1, got, want)
 		}
+	}
+}
+
+// TestSimplexCheckAllocFree pins the allocation-free kernel: once a tableau
+// with small coefficients is built and its rows have grown to their working
+// size, a check that pivots allocates nothing.
+func TestSimplexCheckAllocFree(t *testing.T) {
+	s := newSimplex()
+	x, y, z := s.newVar(), s.newVar(), s.newVar()
+	s1 := s.defineSlack([]entry{{x, rat(1, 1)}, {y, rat(2, 1)}, {z, rat(-1, 1)}})
+	s2 := s.defineSlack([]entry{{x, rat(3, 1)}, {y, rat(-1, 1)}})
+	s.defineSlack([]entry{{y, rat(1, 2)}, {z, rat(1, 1)}})
+	for _, v := range []int{x, y, z} {
+		s.assertLower(v, dInt(-10), -1)
+		s.assertUpper(v, dInt(10), -1)
+	}
+	s.assertLower(s2, dInt(-4), -1)
+	s.assertUpper(s2, dInt(4), -1)
+	// Each run moves s1's window to the other side of its current value:
+	// 3 ≤ s1 ≤ 5, then -5 ≤ s1 < -3. Bounds may only change on a basic
+	// variable, so s1 is pivoted back into the basis first.
+	high := false
+	run := func() {
+		high = !high
+		lo, hi := dInt(-5), dStrict(ratInt(-3), -1)
+		if high {
+			lo, hi = dInt(3), dInt(5)
+		}
+		if !s.isBasic[s1] {
+			s.pivotIn(s1)
+		}
+		s.lower[s1] = bound{val: lo, why: -1, set: true}
+		s.upper[s1] = bound{val: hi, why: -1, set: true}
+		if s.findViolating() == -1 {
+			t.Fatal("no basic variable is out of bounds, so the check would not pivot")
+		}
+		if !s.check() {
+			t.Fatal("the window is feasible")
+		}
+	}
+	for i := 0; i < 4; i++ {
+		run()
+	}
+	if allocs := testing.AllocsPerRun(100, run); allocs != 0 {
+		t.Errorf("check allocated %v times per run, want 0", allocs)
 	}
 }

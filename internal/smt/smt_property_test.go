@@ -24,7 +24,7 @@ func TestSimplexWitnessProperty(t *testing.T) {
 		}
 		type boundRec struct {
 			x     int
-			row   map[int]*big.Rat
+			row   map[int]rational
 			isLow bool
 			b     delta
 		}
@@ -33,20 +33,20 @@ func TestSimplexWitnessProperty(t *testing.T) {
 		nCons := 1 + r.Intn(6)
 		for c := 0; c < nCons && ok; c++ {
 			// Random linear combination of 1-3 variables.
-			row := map[int]*big.Rat{}
+			row := map[int]rational{}
 			for k := 0; k < 1+r.Intn(3); k++ {
-				row[vars[r.Intn(nVars)]] = big.NewRat(int64(r.Intn(7)-3), 1)
+				row[vars[r.Intn(nVars)]] = rat(int64(r.Intn(7)-3), 1)
 			}
 			nonZero := false
 			for _, v := range row {
-				if v.Sign() != 0 {
+				if v.sign() != 0 {
 					nonZero = true
 				}
 			}
 			if !nonZero {
 				continue
 			}
-			x := sx.defineSlack(row)
+			x := sx.defineSlack(entries(row))
 			b := dInt(int64(r.Intn(21) - 10))
 			if r.Intn(2) == 0 {
 				ok = sx.assertLower(x, b, -1)
@@ -79,6 +79,153 @@ func TestSimplexWitnessProperty(t *testing.T) {
 			}
 		}
 	}
+}
+
+// entries lists a coefficient map as simplex row entries.
+func entries(m map[int]rational) []entry {
+	var row []entry
+	for x, c := range m {
+		row = append(row, entry{x, c})
+	}
+	return row
+}
+
+// TestSimplexLargeMagnitudes: random systems with coefficients and bounds
+// up to ±2^62, so pivots overflow int64 and promote to big.Rat. A feasible
+// verdict's witness must satisfy every bound in exact arithmetic, and an
+// infeasible verdict's explanation must name bounds that are infeasible on
+// their own.
+func TestSimplexLargeMagnitudes(t *testing.T) {
+	r := rand.New(rand.NewSource(62))
+	draw := func() int64 {
+		v := r.Int63n([]int64{4, 1 << 20, 1 << 40, 1 << 62}[r.Intn(4)] + 1)
+		if r.Intn(2) == 0 {
+			v = -v
+		}
+		return v
+	}
+	// A constraint bounds Σ row (the variable itself when row has one
+	// entry with coefficient 1) from below or above.
+	type con struct {
+		row   map[int]rational
+		isLow bool
+		b     delta
+	}
+	// build asserts cons (tagged by index) on a fresh simplex over nVars
+	// variables and returns it with each constraint's bounded variable.
+	build := func(nVars int, cons []con) (sx *simplex, at []int, ok bool) {
+		sx = newSimplex()
+		for i := 0; i < nVars; i++ {
+			sx.newVar()
+		}
+		ok = true
+		for tag, c := range cons {
+			x := -1
+			for v, co := range c.row {
+				if len(c.row) == 1 && co.cmp(one) == 0 {
+					x = v
+				}
+			}
+			if x < 0 {
+				x = sx.defineSlack(entries(c.row))
+			}
+			at = append(at, x)
+			if c.isLow {
+				ok = sx.assertLower(x, c.b, tag) && ok
+			} else {
+				ok = sx.assertUpper(x, c.b, tag) && ok
+			}
+		}
+		return sx, at, ok
+	}
+	exact := func(d delta) (*big.Rat, *big.Rat) { return d.R.asBig(), d.D.asBig() }
+	promoted, infeasible := 0, 0
+	for iter := 0; iter < 400; iter++ {
+		nVars := 2 + r.Intn(3)
+		var cons []con
+		for c, nCons := 0, 2+r.Intn(6); c < nCons; c++ {
+			row := map[int]rational{}
+			if r.Intn(3) == 0 {
+				row[r.Intn(nVars)] = one
+			} else {
+				for k := 0; k < 2+r.Intn(2); k++ {
+					if co := draw(); co != 0 {
+						row[r.Intn(nVars)] = ratInt(co)
+					}
+				}
+			}
+			if len(row) == 0 {
+				continue
+			}
+			b := dInt(draw())
+			if r.Intn(3) == 0 {
+				b = dStrict(b.R, int64(2*r.Intn(2)-1))
+			}
+			cons = append(cons, con{row, r.Intn(2) == 0, b})
+		}
+		sx, at, ok := build(nVars, cons)
+		if !ok || !sx.check() {
+			infeasible++
+			var sub []con
+			for _, tag := range sx.conflictWhy {
+				if tag < 0 || tag >= len(cons) {
+					t.Fatalf("iter %d: explanation %v names no constraint", iter, sx.conflictWhy)
+				}
+				sub = append(sub, cons[tag])
+			}
+			if sx2, _, ok2 := build(nVars, sub); ok2 && sx2.check() {
+				t.Fatalf("iter %d: explanation %v is satisfiable on its own", iter, sx.conflictWhy)
+			}
+		} else {
+			for i, c := range cons {
+				// Σ c·value in big.Rat arithmetic, on both components.
+				wantR, wantD := new(big.Rat), new(big.Rat)
+				for v, co := range c.row {
+					vr, vd := exact(sx.value(v))
+					wantR.Add(wantR, new(big.Rat).Mul(vr, co.asBig()))
+					wantD.Add(wantD, new(big.Rat).Mul(vd, co.asBig()))
+				}
+				gotR, gotD := exact(sx.value(at[i]))
+				if gotR.Cmp(wantR) != 0 || gotD.Cmp(wantD) != 0 {
+					t.Fatalf("iter %d: constraint %d's variable is %v, its row sums to %s+%sδ", iter, i, sx.value(at[i]), wantR.RatString(), wantD.RatString())
+				}
+				bR, bD := exact(c.b)
+				cmp := wantR.Cmp(bR)
+				if cmp == 0 {
+					cmp = wantD.Cmp(bD)
+				}
+				if c.isLow && cmp < 0 || !c.isLow && cmp > 0 {
+					t.Fatalf("iter %d: witness violates constraint %d: %v vs bound %v", iter, i, sx.value(at[i]), c.b)
+				}
+			}
+		}
+		if holdsBig(sx) {
+			promoted++
+		}
+	}
+	t.Logf("%d of 400 systems infeasible; %d held a tableau value as a big.Rat", infeasible, promoted)
+	if promoted == 0 {
+		t.Fatal("no run held a tableau value as a big.Rat: the promotion path never ran")
+	}
+	if infeasible == 0 || infeasible == 400 {
+		t.Fatalf("%d of 400 systems infeasible: the test needs both verdicts", infeasible)
+	}
+}
+
+// holdsBig reports whether any tableau coefficient or assignment is held
+// as a big.Rat.
+func holdsBig(sx *simplex) bool {
+	for b, row := range sx.rows {
+		for _, e := range row {
+			if e.c.big != nil {
+				return true
+			}
+		}
+		if sx.beta[b].R.big != nil || sx.beta[b].D.big != nil {
+			return true
+		}
+	}
+	return false
 }
 
 // TestNNFEquivalence: nnf must preserve semantics on random formulas.

@@ -1,7 +1,6 @@
 package smt
 
 import (
-	"math/big"
 	"sort"
 
 	"spes/internal/fol"
@@ -40,7 +39,7 @@ type linCon struct {
 //
 // Cached linForms are shared across checks and must be treated as
 // immutable; buildSimplex, formToRow, and the propagation loop only read
-// them (the simplex copies coefficients before mutating).
+// them (their rationals are values, so the simplex's copies are its own).
 type theoryCache struct {
 	in    *fol.Interner
 	diffs map[uint64]*linForm
@@ -227,29 +226,30 @@ func theoryCheckExplain(e *euf, lits []theoryLit, budget int, tc *theoryCache) (
 
 		// Arithmetic → congruence closure: probe candidate argument pairs
 		// whose equality would fire new congruences.
+		var row []entry
 		for _, p := range e.argPairs() {
 			t1, t2 := e.term(p[0]), e.term(p[1])
 			d := tc.diff(t1, t2)
 			if d.isConst() {
-				if d.konst.Sign() == 0 {
+				if d.konst.sign() == 0 {
 					e.assertEq(t1, t2)
 					changed = true
 				}
 				continue
 			}
-			row, k, ok := formToRow(d, varIdx)
-			if !ok {
+			var ok bool
+			if row, ok = formToRow(d, varIdx, row); !ok {
 				continue // mentions a variable the arithmetic never constrained
 			}
 			// Cheap filter: skip if the current model already separates them.
-			val := dRat(k)
-			for x, c := range row {
-				val = val.add(sx.value(x).scale(c))
+			val := dRat(d.konst)
+			for _, en := range row {
+				val = val.add(sx.value(en.x).scale(en.c))
 			}
-			if val.R.Sign() != 0 || val.D.Sign() != 0 {
+			if val.R.sign() != 0 || val.D.sign() != 0 {
 				continue
 			}
-			if sx.probeZero(row, k) {
+			if sx.probeZero(row, d.konst) {
 				e.assertEq(t1, t2)
 				if e.conflict {
 					return false, true, nil
@@ -300,27 +300,28 @@ func buildSimplex(cons []linCon) (sx *simplex, varIdx map[uint32]int, feasible b
 	// keys, not their IDs — IDs depend on interning order, which varies
 	// when concurrent workers share one interner, and the simplex pivot
 	// order (hence which explanation a conflict yields) must not.
-	type varEnt struct {
-		id uint32
-		t  *fol.Term
-	}
-	var ents []varEnt
-	seen := make(map[uint32]bool)
+	var ents []*fol.Term
+	slacks := 0
 	for _, c := range cons {
-		for id, t := range c.form.opaque {
-			if !seen[id] {
-				seen[id] = true
-				ents = append(ents, varEnt{id, t})
+		if len(c.form.terms) > 1 {
+			slacks++
+		}
+		for _, lt := range c.form.terms {
+			if _, seen := varIdx[lt.t.ID()]; !seen {
+				varIdx[lt.t.ID()] = -1 // numbered after the sort
+				ents = append(ents, lt.t)
 			}
 		}
 	}
-	sort.Slice(ents, func(i, j int) bool { return ents[i].t.Key() < ents[j].t.Key() })
-	for _, e := range ents {
-		varIdx[e.id] = sx.newVar()
+	sort.Slice(ents, func(i, j int) bool { return ents[i].Key() < ents[j].Key() })
+	sx.reserve(len(ents) + slacks + 1) // +1: probeZero's slack
+	for _, t := range ents {
+		varIdx[t.ID()] = sx.newVar()
 	}
+	var row []entry // defineSlack copies it, so one buffer serves every row
 	for tag, c := range cons {
 		if c.form.isConst() {
-			s := c.form.konst.Sign()
+			s := c.form.konst.sign()
 			bad := false
 			switch c.op {
 			case opLe:
@@ -336,26 +337,18 @@ func buildSimplex(cons []linCon) (sx *simplex, varIdx map[uint32]int, feasible b
 			}
 			continue
 		}
-		row := make(map[int]*big.Rat, len(c.form.coeffs))
-		for k, co := range c.form.coeffs {
-			row[varIdx[k]] = co
-		}
+		row, _ = formToRow(c.form, varIdx, row) // every term was numbered above
 		// Σ row + konst ⋈ 0  ⇔  slack ⋈ -konst.
-		bound := new(big.Rat).Neg(c.form.konst)
-		var x int
+		rhs := c.form.konst.neg()
 		if len(row) == 1 {
 			// Single-variable constraint: bound the variable directly.
-			for v, co := range row {
-				x = v
-				b := new(big.Rat).Quo(bound, co)
-				if !applyBound(sx, x, b, c.op, co.Sign() < 0, tag) {
-					return sx, varIdx, false
-				}
+			co := row[0].c
+			if !applyBound(sx, row[0].x, rhs.quo(co), c.op, co.sign() < 0, tag) {
+				return sx, varIdx, false
 			}
 			continue
 		}
-		x = sx.defineSlack(row)
-		if !applyBound(sx, x, bound, c.op, false, tag) {
+		if !applyBound(sx, sx.defineSlack(row), rhs, c.op, false, tag) {
 			return sx, varIdx, false
 		}
 	}
@@ -365,7 +358,7 @@ func buildSimplex(cons []linCon) (sx *simplex, varIdx map[uint32]int, feasible b
 // applyBound asserts x ⋈ b (or the flipped comparison when flip is set,
 // which arises from dividing by a negative coefficient). why tags the
 // originating constraint for explanations.
-func applyBound(sx *simplex, x int, b *big.Rat, op linOp, flip bool, why int) bool {
+func applyBound(sx *simplex, x int, b rational, op linOp, flip bool, why int) bool {
 	switch op {
 	case opEq:
 		return sx.assertLower(x, dRat(b), why) && sx.assertUpper(x, dRat(b), why)
@@ -383,16 +376,17 @@ func applyBound(sx *simplex, x int, b *big.Rat, op linOp, flip bool, why int) bo
 	return true
 }
 
-// formToRow converts a linear form to simplex row indices. ok=false if the
-// form mentions a variable outside the arithmetic vocabulary.
-func formToRow(f *linForm, varIdx map[uint32]int) (map[int]*big.Rat, *big.Rat, bool) {
-	row := make(map[int]*big.Rat, len(f.coeffs))
-	for k, c := range f.coeffs {
-		x, ok := varIdx[k]
+// formToRow writes f's variable part into row (reusing its storage) as
+// simplex entries, in f's term order. ok=false if the form mentions a
+// variable outside the arithmetic vocabulary.
+func formToRow(f *linForm, varIdx map[uint32]int, row []entry) ([]entry, bool) {
+	row = row[:0]
+	for _, lt := range f.terms {
+		x, ok := varIdx[lt.t.ID()]
 		if !ok {
-			return nil, nil, false
+			return row, false
 		}
-		row[x] = c
+		row = append(row, entry{x, lt.c})
 	}
-	return row, f.konst, true
+	return row, true
 }
