@@ -2,15 +2,15 @@
 # Repo verification gate: vet, build, and the full test suite under the
 # race detector (the engine's determinism and worker-ownership tests run
 # with 8 concurrent workers, so -race exercises the batch engine's
-# sharing for real), every benchmark run once, a bounded fuzz of the
-# simplex's rational arithmetic, then end-to-end smoke
-# tests: spes-serve boot/verify/drain, chaos under -faults, warm restart
-# through the durable store, a 2-shard spes-router cluster surviving a
-# shard kill via failover, a refutation stage proving buggy rewrites come
-# back "refuted" with byte-identical counterexample witnesses standalone
-# and routed, and a replication stage where a SIGKILLed shard's verdicts
-# survive on a tailing peer that answers them warm from its replicated
-# store.
+# sharing for real), every benchmark run once, bounded fuzzes of the
+# simplex's rational arithmetic and of the canonical plan encoding, then
+# end-to-end smoke tests: spes-serve boot/verify/drain, chaos under
+# -faults, warm restart through the durable store, a 2-shard spes-router
+# cluster surviving a shard kill via failover, a refutation stage proving
+# buggy rewrites come back "refuted" with byte-identical counterexample
+# witnesses standalone and routed, and a replication stage where a
+# SIGKILLed shard's verdicts survive on a tailing peer that answers them
+# warm from its replicated store.
 set -eux
 
 # Term-construction lint: fol.Term values must be built through the fol
@@ -54,6 +54,11 @@ go test -run '^$' -bench . -benchtime 1x ./...
 
 # Fuzz the simplex's exact rationals against math/big for a bounded time.
 go test -run '^$' -fuzz '^FuzzRatArith$' -fuzztime 10s ./internal/smt/
+
+# Fuzz the canonical plan encoding for a bounded time: two decoded plan or
+# expression trees must encode alike exactly when they are structurally
+# equal, so no two plans can share a memo key.
+go test -run '^$' -fuzz '^FuzzCanonicalForm$' -fuzztime 10s ./internal/plan/
 
 # The differential verdict-parity suite (a Verifier on a fresh private
 # interner vs one on an interner shared across the run, as in the engine)

@@ -928,9 +928,12 @@ func (w *Worker) leadPair(ctx context.Context, q1, q2 plan.Node, k1, k2 string, 
 
 	n1 := w.normalizePlan(q1, k1)
 	n2 := w.normalizePlan(q2, k2)
-	fp := plan.PairFingerprint(n1, n2)
+	// Encode the normalized pair once: HashKey(PairKey(n1, n2)) is
+	// PairFingerprint(n1, n2).
+	pk := plan.PairKey(n1, n2)
+	fp := plan.HashKey(pk)
 
-	e, leader := w.shared.dedup.claim(fp, w.shared.digestKey(plan.PairKey(n1, n2)))
+	e, leader := w.shared.dedup.claim(fp, w.shared.digestKey(pk))
 	if !leader {
 		<-e.done
 		res, follower, finished = e.res, true, true

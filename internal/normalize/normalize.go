@@ -10,6 +10,8 @@
 package normalize
 
 import (
+	"bytes"
+
 	"spes/internal/fol"
 	"spes/internal/plan"
 	"spes/internal/smt"
@@ -57,6 +59,11 @@ type Normalizer struct {
 	enc    *symbolic.Encoder
 	// satCache memoizes predicate satisfiability by canonical form.
 	satCache map[string]bool
+	// satKey holds predSatisfiable's cache key, and passKey and prevKey
+	// the encodings of the current and previous pass that Normalize's
+	// fixpoint test compares. Reusing the buffers keeps a cache hit and
+	// the fixpoint test allocation-free.
+	satKey, passKey, prevKey []byte
 	// shared is an optional cross-Normalizer satisfiability cache; the
 	// local map stays in front of it so repeat lookups on this Normalizer
 	// never pay the shared cache's synchronization.
@@ -77,15 +84,16 @@ func (nz *Normalizer) SetSatCache(c SatCache) { nz.shared = c }
 // structurally different but rule-equal subqueries converge to one shape
 // (which the symbolic encoder's canonical EXISTS naming relies on).
 func (nz *Normalizer) Normalize(n plan.Node) plan.Node {
-	prev := plan.Format(n)
+	prev, cur := plan.AppendNode(nz.prevKey[:0], n), nz.passKey
 	for pass := 0; pass < nz.opts.maxPasses(); pass++ {
 		n = nz.normalizeSubplans(nz.rewrite(n))
-		cur := plan.Format(n)
-		if cur == prev {
+		cur = plan.AppendNode(cur[:0], n)
+		if bytes.Equal(cur, prev) {
 			break
 		}
-		prev = cur
+		prev, cur = cur, prev
 	}
+	nz.prevKey, nz.passKey = prev, cur
 	return n
 }
 
@@ -280,23 +288,27 @@ func (nz *Normalizer) rewriteSPJ(s *plan.SPJ) plan.Node {
 // the SPJ returns no rows on any database (so `pk IS NULL` filters reduce
 // to Empty too).
 func (nz *Normalizer) predSatisfiable(s *plan.SPJ) bool {
-	// Build the cache key first: the fresh symbolic tuple is only needed on
-	// a miss, and this path is hot enough that allocating it up front
-	// dominated cache-hit lookups.
-	var nnTag []byte
+	// Build the cache key first, in the reused buffer: the fresh symbolic
+	// tuple is only needed on a miss, and this path is hot enough that
+	// allocating up front dominated cache-hit lookups. The key is
+	// "spj:" + one NOT NULL byte per input column + ":" + the predicate.
+	buf := append(nz.satKey[:0], "spj:"...)
 	for _, input := range s.Inputs {
 		for i := 0; i < input.Arity(); i++ {
 			if notNullColumn(input, i) {
-				nnTag = append(nnTag, '1')
+				buf = append(buf, '1')
 			} else {
-				nnTag = append(nnTag, '0')
+				buf = append(buf, '0')
 			}
 		}
 	}
-	key := "spj:" + string(nnTag) + ":" + s.Pred.String()
-	if v, ok := nz.satCache[key]; ok {
+	nnTag := buf[len("spj:"):]
+	buf = plan.AppendExpr(append(buf, ':'), s.Pred)
+	nz.satKey = buf
+	if v, ok := nz.satCache[string(buf)]; ok {
 		return v
 	}
+	key := string(buf)
 	if nz.shared != nil {
 		if v, ok := nz.shared.Lookup(key); ok {
 			nz.satCache[key] = v

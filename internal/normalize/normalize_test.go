@@ -131,6 +131,31 @@ func TestEmptyTableRule(t *testing.T) {
 	}
 }
 
+// TestPredSatisfiableHitAllocationFree pins the satisfiability cache's hit
+// path: the key is built in the Normalizer's reused buffer and looked up
+// without becoming a string, so a hit allocates nothing.
+func TestPredSatisfiableHitAllocationFree(t *testing.T) {
+	for _, sql := range []string{
+		"SELECT EMP_ID FROM EMP WHERE SALARY > 3 AND SALARY < 5",
+		"SELECT EMP_ID FROM EMP WHERE SALARY > 5 AND SALARY < 3",
+		"SELECT E.EMP_ID FROM EMP E, DEPT D WHERE E.DEPT_ID = D.DEPT_ID AND D.DEPT_NAME = 'it''s'",
+	} {
+		s, ok := buildPlan(t, sql).(*plan.SPJ)
+		if !ok || s.Pred == nil {
+			t.Fatalf("%q: want an SPJ with a predicate", sql)
+		}
+		nz := New(Options{})
+		want := nz.predSatisfiable(s) // the miss fills the cache
+		if allocs := testing.AllocsPerRun(100, func() {
+			if nz.predSatisfiable(s) != want {
+				t.Fatal("cache hit changed the answer")
+			}
+		}); allocs != 0 {
+			t.Errorf("%q: a predSatisfiable cache hit allocated %.1f times", sql, allocs)
+		}
+	}
+}
+
 func TestEmptyBranchDropped(t *testing.T) {
 	out := checkPreserves(t,
 		"SELECT DEPT_ID FROM EMP WHERE 1 = 2 UNION ALL SELECT DEPT_ID FROM DEPT")

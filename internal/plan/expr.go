@@ -1,16 +1,14 @@
 package plan
 
-import (
-	"fmt"
-	"strings"
-)
+import "bytes"
 
 // Expr is a scalar or predicate expression over the columns of a node's
 // input row. Column references are positional (resolved by the builder).
 type Expr interface {
 	isExpr()
-	// String renders canonically; two expressions are semantically
-	// interchangeable for structural matching iff their strings are equal.
+	// String renders the canonical encoding (see AppendExpr): two
+	// expressions render alike iff they are structurally equal, column
+	// names of nested plans aside.
 	String() string
 }
 
@@ -18,20 +16,20 @@ type Expr interface {
 type ColRef struct{ Index int }
 
 func (*ColRef) isExpr()          {}
-func (c *ColRef) String() string { return fmt.Sprintf("$%d", c.Index) }
+func (c *ColRef) String() string { return exprString(c) }
 
 // OuterRef references column Index of a row Depth query levels up (for
 // correlated subqueries); Depth >= 1.
 type OuterRef struct{ Depth, Index int }
 
 func (*OuterRef) isExpr()          {}
-func (o *OuterRef) String() string { return fmt.Sprintf("$out%d.%d", o.Depth, o.Index) }
+func (o *OuterRef) String() string { return exprString(o) }
 
 // Const is a literal value.
 type Const struct{ Val Datum }
 
 func (*Const) isExpr()          {}
-func (c *Const) String() string { return c.Val.String() }
+func (c *Const) String() string { return exprString(c) }
 
 // BinOp enumerates plan-level binary operators.
 type BinOp uint8
@@ -52,13 +50,18 @@ const (
 	OpOr
 )
 
-var binOpStrings = map[BinOp]string{
+var binOpStrings = [...]string{
 	OpAdd: "+", OpSub: "-", OpMul: "*", OpDiv: "/", OpMod: "%",
 	OpEq: "=", OpNe: "<>", OpLt: "<", OpLe: "<=", OpGt: ">", OpGe: ">=",
 	OpAnd: "and", OpOr: "or",
 }
 
-func (o BinOp) String() string { return binOpStrings[o] }
+func (o BinOp) String() string {
+	if int(o) < len(binOpStrings) {
+		return binOpStrings[o]
+	}
+	return ""
+}
 
 // IsComparison reports whether o compares values (three-valued result).
 func (o BinOp) IsComparison() bool { return o >= OpEq && o <= OpGe }
@@ -75,28 +78,26 @@ type Bin struct {
 	L, R Expr
 }
 
-func (*Bin) isExpr() {}
-func (b *Bin) String() string {
-	return fmt.Sprintf("(%s %s %s)", b.Op, b.L, b.R)
-}
+func (*Bin) isExpr()          {}
+func (b *Bin) String() string { return exprString(b) }
 
 // Not is logical negation (three-valued).
 type Not struct{ E Expr }
 
 func (*Not) isExpr()          {}
-func (n *Not) String() string { return fmt.Sprintf("(not %s)", n.E) }
+func (n *Not) String() string { return exprString(n) }
 
 // Neg is arithmetic negation.
 type Neg struct{ E Expr }
 
 func (*Neg) isExpr()          {}
-func (n *Neg) String() string { return fmt.Sprintf("(neg %s)", n.E) }
+func (n *Neg) String() string { return exprString(n) }
 
 // IsNull tests whether E evaluates to NULL (two-valued result).
 type IsNull struct{ E Expr }
 
 func (*IsNull) isExpr()          {}
-func (n *IsNull) String() string { return fmt.Sprintf("(isnull %s)", n.E) }
+func (n *IsNull) String() string { return exprString(n) }
 
 // When is one CASE arm.
 type When struct {
@@ -110,19 +111,8 @@ type Case struct {
 	Else  Expr
 }
 
-func (*Case) isExpr() {}
-func (c *Case) String() string {
-	var b strings.Builder
-	b.WriteString("(case")
-	for _, w := range c.Whens {
-		fmt.Fprintf(&b, " [%s %s]", w.Cond, w.Then)
-	}
-	if c.Else != nil {
-		fmt.Fprintf(&b, " else %s", c.Else)
-	}
-	b.WriteString(")")
-	return b.String()
-}
+func (*Case) isExpr()          {}
+func (c *Case) String() string { return exprString(c) }
 
 // Func is an uninterpreted scalar function (user-defined functions, string
 // operations like LIKE and ||). Bool marks predicate-valued functions.
@@ -132,17 +122,8 @@ type Func struct {
 	Args []Expr
 }
 
-func (*Func) isExpr() {}
-func (f *Func) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "(fn:%s", f.Name)
-	for _, a := range f.Args {
-		b.WriteByte(' ')
-		b.WriteString(a.String())
-	}
-	b.WriteString(")")
-	return b.String()
-}
+func (*Func) isExpr()          {}
+func (f *Func) String() string { return exprString(f) }
 
 // Exists is an EXISTS(subquery) predicate. Expressions inside Sub may use
 // OuterRef to reach the enclosing row.
@@ -151,28 +132,25 @@ type Exists struct {
 	Negate bool
 }
 
-func (*Exists) isExpr() {}
-func (e *Exists) String() string {
-	neg := ""
-	if e.Negate {
-		neg = "not-"
-	}
-	return fmt.Sprintf("(%sexists %s)", neg, Format(e.Sub))
-}
+func (*Exists) isExpr()          {}
+func (e *Exists) String() string { return exprString(e) }
 
 // ScalarSub is a scalar subquery: Sub must produce one column and at most
 // one row; zero rows yield NULL.
 type ScalarSub struct{ Sub Node }
 
 func (*ScalarSub) isExpr()          {}
-func (s *ScalarSub) String() string { return fmt.Sprintf("(scalar %s)", Format(s.Sub)) }
+func (s *ScalarSub) String() string { return exprString(s) }
 
-// ExprEqual reports structural equality of two expressions.
+// ExprEqual reports structural equality of two expressions: whether their
+// canonical encodings are equal. Both are encoded into stack buffers, so
+// comparing expressions of ordinary size allocates nothing.
 func ExprEqual(a, b Expr) bool {
 	if a == nil || b == nil {
 		return a == nil && b == nil
 	}
-	return a.String() == b.String()
+	var ba, bb [256]byte
+	return bytes.Equal(AppendExpr(ba[:0], a), AppendExpr(bb[:0], b))
 }
 
 // WalkExpr visits e and its sub-expressions pre-order; subquery plans are not

@@ -72,8 +72,9 @@ func TestPairFingerprintOrderSensitive(t *testing.T) {
 }
 
 // TestPairKeySeparatorUnambiguous pins the framing property: the pair key
-// cannot confuse (A, BC) with (AB, C) because plan serializations never
-// contain the NUL separator.
+// cannot confuse (A, BC) with (AB, C). Each canonical encoding is
+// self-delimiting (its brackets balance outside quoted text), and an
+// ordinary plan's encoding contains no NUL at all.
 func TestPairKeySeparatorUnambiguous(t *testing.T) {
 	a := buildPlan(t, "SELECT DEPT_ID FROM EMP")
 	for _, r := range Format(a) {

@@ -2,7 +2,6 @@ package plan
 
 import (
 	"fmt"
-	"io"
 	"strings"
 
 	"spes/internal/schema"
@@ -83,12 +82,17 @@ const (
 	AggAvg
 )
 
-var aggOpNames = map[AggOp]string{
+var aggOpNames = [...]string{
 	AggCountStar: "COUNT(*)", AggCount: "COUNT", AggSum: "SUM",
 	AggMin: "MIN", AggMax: "MAX", AggAvg: "AVG",
 }
 
-func (o AggOp) String() string { return aggOpNames[o] }
+func (o AggOp) String() string {
+	if int(o) < len(aggOpNames) {
+		return aggOpNames[o]
+	}
+	return ""
+}
 
 // AggExpr is one aggregate computation.
 type AggExpr struct {
@@ -99,15 +103,12 @@ type AggExpr struct {
 }
 
 func (a AggExpr) key() string {
-	arg := ""
+	var enc encoder
+	b := enc.aggHead(nil, a)
 	if a.Arg != nil {
-		arg = a.Arg.String()
+		b = AppendExpr(b, a.Arg)
 	}
-	d := ""
-	if a.Distinct {
-		d = " distinct"
-	}
-	return fmt.Sprintf("(%s%s %s)", aggOpNames[a.Op], d, arg)
+	return string(append(b, ')'))
 }
 
 // Agg groups the input's tuples by the GroupBy expressions and emits one
@@ -221,80 +222,12 @@ func CountNodes(n Node) int {
 	return count
 }
 
-// Format renders a plan canonically on one line; structural equality of
-// plans coincides with string equality.
+// Format renders a plan's canonical encoding (see AppendNode) on one line;
+// structural equality of plans, column names aside, coincides with string
+// equality.
 func Format(n Node) string {
-	var b strings.Builder
-	format(n, &b)
-	return b.String()
-}
-
-// canonWriter is the sink format writes to: a strings.Builder for Format,
-// a hasher for Fingerprint.
-type canonWriter interface {
-	io.Writer
-	WriteString(string) (int, error)
-	WriteByte(byte) error
-}
-
-func format(n Node, b canonWriter) {
-	switch v := n.(type) {
-	case *Table:
-		fmt.Fprintf(b, "table(%s)", v.Meta.Name)
-	case *Empty:
-		fmt.Fprintf(b, "empty(%d)", len(v.Names))
-	case *SPJ:
-		b.WriteString("spj(in:[")
-		for i, c := range v.Inputs {
-			if i > 0 {
-				b.WriteByte(' ')
-			}
-			format(c, b)
-		}
-		b.WriteString("] pred:")
-		if v.Pred != nil {
-			b.WriteString(v.Pred.String())
-		} else {
-			b.WriteString("true")
-		}
-		b.WriteString(" proj:[")
-		for i, p := range v.Proj {
-			if i > 0 {
-				b.WriteByte(' ')
-			}
-			b.WriteString(p.E.String())
-		}
-		b.WriteString("])")
-	case *Agg:
-		b.WriteString("agg(in:")
-		format(v.Input, b)
-		b.WriteString(" by:[")
-		for i, g := range v.GroupBy {
-			if i > 0 {
-				b.WriteByte(' ')
-			}
-			b.WriteString(g.E.String())
-		}
-		b.WriteString("] fns:[")
-		for i, a := range v.Aggs {
-			if i > 0 {
-				b.WriteByte(' ')
-			}
-			b.WriteString(a.key())
-		}
-		b.WriteString("])")
-	case *Union:
-		b.WriteString("union(")
-		for i, c := range v.Inputs {
-			if i > 0 {
-				b.WriteByte(' ')
-			}
-			format(c, b)
-		}
-		b.WriteString(")")
-	default:
-		fmt.Fprintf(b, "?%T", n)
-	}
+	var buf [keyBufSize]byte
+	return string(AppendNode(buf[:0], n))
 }
 
 // Indent renders a plan as an indented multi-line tree for human reading.

@@ -183,8 +183,7 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 	// the same two-step discipline as the engine's memo tables. Namespaced
 	// by the constraint digest like every other verdict-bearing key: plan
 	// serializations don't mention constraints, verdicts depend on them.
-	k1, k2 := plan.Key(q1), plan.Key(q2)
-	rawKey := k1 + "\x00" + k2
+	rawKey := plan.PairKey(q1, q2)
 	if d := s.eng.ConstraintDigest(); d != "" {
 		rawKey = "c" + d + ":" + rawKey
 	}

@@ -3,6 +3,7 @@ package symbolic
 import (
 	"fmt"
 	"math/big"
+	"strconv"
 
 	"spes/internal/fol"
 	"spes/internal/plan"
@@ -322,7 +323,7 @@ func (e *Encoder) subqueryArgs(sub plan.Node, in Tuple) (string, []*fol.Term, er
 	sub = StripExistsProjections(plan.CanonNode(sub))
 	refs := CollectOuterRefs(sub, 1)
 	canon := RenumberOuterRefs(sub, 1, refs)
-	name := fmt.Sprintf("%x", plan.Fingerprint(canon))
+	name := strconv.FormatUint(plan.Fingerprint(canon), 16)
 	var args []*fol.Term
 	for _, idx := range refs {
 		if idx >= len(in) {
