@@ -10,7 +10,9 @@
 # buggy rewrites come back "refuted" with byte-identical counterexample
 # witnesses standalone and routed, and a replication stage where a
 # SIGKILLed shard's verdicts survive on a tailing peer that answers them
-# warm from its replicated store.
+# warm from its replicated store; then perfbench's vet and tests, and a
+# verdict gate: a one-second calcite-cold benchmark run must reproduce a
+# pinned verdict digest.
 set -eux
 
 # Term-construction lint: fol.Term values must be built through the fol
@@ -622,3 +624,17 @@ grep -q 'spes-serve: drained' "$tmp/repl-a.log"
 # The benchmark is its own module (perfbench/go.mod), so the root ./...
 # skips it; vet it and run its tests against the library types it reads.
 (cd perfbench && go vet ./... && go test ./...)
+
+# --- verdict gate ----------------------------------------------------------
+# One second of the benchmark's calcite-cold workload must reproduce the
+# pinned verdict digest. perfbench checks every verdict against its
+# reference executor and exits nonzero on any CHECK FAILED; the digest pins
+# the verdicts themselves, so any verdict change fails here until this
+# value is updated on purpose (and the update recorded in CHANGES.md). Only
+# verdicts are gated, never time: the host's speed varies too much.
+if ! bash perfbench/run.sh --workload calcite-cold --seconds 1 --trace 0 >"$tmp/verdict-gate.txt" ||
+    ! grep -q 'verdict digest 6ef731772b83670f' "$tmp/verdict-gate.txt"; then
+    cat "$tmp/verdict-gate.txt"
+    echo "ci: calcite-cold verdict digest is not 6ef731772b83670f" >&2
+    exit 1
+fi

@@ -72,6 +72,39 @@ func TestTable1Shape(t *testing.T) {
 	}
 }
 
+// TestRenderLimitationsDeterministic pins the §7.4 breakdown's order:
+// largest class first, ties by class name, identical on every call. Only
+// SPES's supported-but-unproved pairs count.
+func TestRenderLimitationsDeterministic(t *testing.T) {
+	unproved := func(note, rule string) PairOutcome {
+		return PairOutcome{Pair: corpus.Pair{Note: note, Rule: rule}, Support: true}
+	}
+	res := &Table1Result{Outcomes: map[VerifierID][]PairOutcome{
+		SPES: {
+			unproved("limit:integer-semantics", "R1"),
+			unproved("limit:union+aggregate", "R2"),
+			unproved("limit:join+aggregate", "R3"),
+			unproved("", "FilterMerge"),
+			unproved("limit:union+aggregate", "R4"),
+			unproved("limit:join+aggregate", "R5"),
+			unproved("limit:union+aggregate", "R6"),
+			{Pair: corpus.Pair{Note: "limit:join+aggregate"}, Support: true, Proved: true},
+			{Pair: corpus.Pair{Note: "unsupported:cast"}},
+		},
+		EQUITAS: {unproved("limit:equitas-only", "R7")},
+	}}
+	want := "SPES: 7 supported pairs unproved, by limitation class:\n" +
+		"  limit:union+aggregate            3\n" +
+		"  limit:join+aggregate             2\n" +
+		"  limit:integer-semantics          1\n" +
+		"  other:FilterMerge                1\n"
+	for i := 0; i < 20; i++ {
+		if got := RenderLimitations(res); got != want {
+			t.Fatalf("call %d:\n%s\nwant:\n%s", i, got, want)
+		}
+	}
+}
+
 // TestEquitasAcceptsBagDifferentPairs demonstrates why set semantics is not
 // enough (§2): EQUITAS proves the Figure 1 pair, SPES refuses it.
 func TestEquitasAcceptsBagDifferentPairs(t *testing.T) {

@@ -6,6 +6,7 @@ package bench
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 	"time"
 
@@ -179,10 +180,22 @@ func RenderLimitations(r *Table1Result) string {
 		}
 		counts[note]++
 	}
+	// Largest class first, ties by name, so the breakdown prints the same
+	// on every run.
+	notes := make([]string, 0, len(counts))
+	for note := range counts {
+		notes = append(notes, note)
+	}
+	sort.Slice(notes, func(i, j int) bool {
+		if counts[notes[i]] != counts[notes[j]] {
+			return counts[notes[i]] > counts[notes[j]]
+		}
+		return notes[i] < notes[j]
+	})
 	var b strings.Builder
 	fmt.Fprintf(&b, "SPES: %d supported pairs unproved, by limitation class:\n", len(spes))
-	for note, n := range counts {
-		fmt.Fprintf(&b, "  %-32s %d\n", note, n)
+	for _, note := range notes {
+		fmt.Fprintf(&b, "  %-32s %d\n", note, counts[note])
 	}
 	return b.String()
 }

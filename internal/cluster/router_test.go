@@ -92,8 +92,9 @@ func decode[T any](t *testing.T, w *httptest.ResponseRecorder) T {
 	return v
 }
 
-// clusterBatch builds a batch with enough distinct pairs that both shards
-// of a 2-ring get work: the Calcite corpus plus the known-equivalent pair.
+// clusterBatch builds a batch of n Calcite pairs in corpus order, cycling
+// when n exceeds the corpus: enough distinct pairs that every shard of a
+// small ring gets work.
 func clusterBatch(n int) server.BatchRequest {
 	pool := corpus.CalcitePairs()
 	req := server.BatchRequest{}
@@ -114,54 +115,66 @@ func verdictsOf(results []server.VerifyResponse) []string {
 	return out
 }
 
-// TestRouterBatchRoutesAndReassembles: a batch through a 2-shard cluster
-// returns verdicts identical, in order, to the same batch on a single
-// node, with both shards doing work and per-result shard provenance set.
+// TestRouterBatchRoutesAndReassembles: all Calcite pairs through a 1-,
+// 2- and 4-shard cluster return verdicts identical, in request order, to
+// the same batch on a single node, with every shard doing work and
+// per-result shard provenance set.
 func TestRouterBatchRoutesAndReassembles(t *testing.T) {
+	req := clusterBatch(len(corpus.CalcitePairs()))
+
 	single := newTestShard(t, "solo", server.Config{})
-	a := newTestShard(t, "a", server.Config{})
-	b := newTestShard(t, "b", server.Config{})
-	rt := newTestRouter(t, []*testShard{a, b}, nil)
-	h := rt.Handler()
-
-	req := clusterBatch(24)
-
 	wSingle := postJSON(t, single.srv.Handler(), "/v1/verify/batch", req)
 	if wSingle.Code != 200 {
 		t.Fatalf("single-node batch: %d %s", wSingle.Code, wSingle.Body.String())
 	}
-	ref := decode[server.BatchResponse](t, wSingle)
+	refV := verdictsOf(decode[server.BatchResponse](t, wSingle).Results)
 
-	w := postJSON(t, h, "/v1/verify/batch", req)
-	if w.Code != 200 {
-		t.Fatalf("routed batch: %d %s", w.Code, w.Body.String())
-	}
-	got := decode[server.BatchResponse](t, w)
+	for _, n := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("shards=%d", n), func(t *testing.T) {
+			shards := make([]*testShard, n)
+			for i := range shards {
+				shards[i] = newTestShard(t, string(rune('a'+i)), server.Config{})
+			}
+			rt := newTestRouter(t, shards, nil)
 
-	if len(got.Results) != len(req.Pairs) {
-		t.Fatalf("routed batch returned %d results for %d pairs", len(got.Results), len(req.Pairs))
-	}
-	for i, r := range got.Results {
-		if r.ID != req.Pairs[i].ID {
-			t.Fatalf("result %d out of order: got ID %q want %q", i, r.ID, req.Pairs[i].ID)
-		}
-	}
-	refV, gotV := verdictsOf(ref.Results), verdictsOf(got.Results)
-	for i := range refV {
-		if refV[i] != gotV[i] {
-			t.Fatalf("verdict %d: cluster %q != single-node %q", i, gotV[i], refV[i])
-		}
-	}
+			w := postJSON(t, rt.Handler(), "/v1/verify/batch", req)
+			if w.Code != 200 {
+				t.Fatalf("routed batch: %d %s", w.Code, w.Body.String())
+			}
+			got := decode[server.BatchResponse](t, w)
 
-	shardsUsed := map[string]int{}
-	for _, r := range got.Results {
-		shardsUsed[r.Shard]++
-	}
-	if len(shardsUsed) != 2 || shardsUsed["a"] == 0 || shardsUsed["b"] == 0 {
-		t.Fatalf("expected both shards to verify part of the batch, got %v", shardsUsed)
-	}
-	if ap, bp := a.srv.Engine().Stats().Pairs, b.srv.Engine().Stats().Pairs; ap == 0 || bp == 0 {
-		t.Fatalf("engine pair counts: a=%d b=%d — fingerprint routing left a shard idle", ap, bp)
+			if len(got.Results) != len(req.Pairs) {
+				t.Fatalf("routed batch returned %d results for %d pairs", len(got.Results), len(req.Pairs))
+			}
+			for i, r := range got.Results {
+				if r.ID != req.Pairs[i].ID {
+					t.Fatalf("result %d out of order: got ID %q want %q", i, r.ID, req.Pairs[i].ID)
+				}
+			}
+			gotV := verdictsOf(got.Results)
+			for i := range refV {
+				if refV[i] != gotV[i] {
+					t.Fatalf("verdict %d: %d-shard cluster %q != single-node %q", i, n, gotV[i], refV[i])
+				}
+			}
+
+			shardsUsed := map[string]int{}
+			for _, r := range got.Results {
+				shardsUsed[r.Shard]++
+			}
+			if len(shardsUsed) != n {
+				t.Fatalf("results name shards %v, want exactly the %d configured", shardsUsed, n)
+			}
+			for _, sh := range shards {
+				if shardsUsed[sh.id] == 0 {
+					t.Fatalf("shard %s verified none of the batch: %v", sh.id, shardsUsed)
+				}
+				if sh.srv.Engine().Stats().Pairs == 0 {
+					t.Fatalf("shard %s engine verified 0 pairs — fingerprint routing left it idle", sh.id)
+				}
+			}
+			t.Logf("split %v", shardsUsed)
+		})
 	}
 }
 
