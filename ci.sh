@@ -3,7 +3,8 @@
 # race detector (the engine's determinism and worker-ownership tests run
 # with 8 concurrent workers, so -race exercises the batch engine's
 # sharing for real), every benchmark run once, bounded fuzzes of the
-# simplex's rational arithmetic and of the canonical plan encoding, then
+# simplex's rational arithmetic, of the canonical plan encoding and of the
+# store's log scan, then
 # end-to-end smoke tests: spes-serve boot/verify/drain, chaos under
 # -faults, warm restart through the durable store, a 2-shard spes-router
 # cluster surviving a shard kill via failover, a refutation stage proving
@@ -61,6 +62,11 @@ go test -run '^$' -fuzz '^FuzzRatArith$' -fuzztime 10s ./internal/smt/
 # expression trees must encode alike exactly when they are structurally
 # equal, so no two plans can share a memo key.
 go test -run '^$' -fuzz '^FuzzCanonicalForm$' -fuzztime 10s ./internal/plan/
+
+# Fuzz the durable store's log scan for a bounded time: on arbitrary bytes,
+# Open must never panic and must accept exactly the records the reference
+# per-record pread scan accepts, answering each accepted key as it does.
+go test -run '^$' -fuzz '^FuzzStoreOpen$' -fuzztime 10s ./internal/store/
 
 # The differential verdict-parity suite (a Verifier on a fresh private
 # interner vs one on an interner shared across the run, as in the engine)

@@ -48,6 +48,10 @@ type StatsSnapshot struct {
 	StoreMisses      int64 `json:"store_misses" metric:"spes_store_misses_total" help:"Durable-store lookups that found no verdict (lifetime)."`
 	SessionEvictions int64 `json:"session_evictions" metric:"spes_engine_session_evictions_total" help:"Verify sessions evicted from the bounded session tables, by LRU pressure or epoch rotation (lifetime)."`
 	WitnessHits      int64 `json:"witness_hits" metric:"spes_store_witness_hits_total" help:"Refutations answered by a stored (possibly replicated) witness that replayed, instead of a fresh search (lifetime)."`
+	// RefuteExhaustedHits explains a not-proved pair served warm: a stored
+	// record says a search under the same options already ran its whole
+	// budget for the pair without a witness.
+	RefuteExhaustedHits int64 `json:"refute_exhausted_hits" metric:"spes_store_refute_exhausted_hits_total" help:"Refutation searches skipped because the store records that a search under the same options already exhausted its budget on the pair without a witness (lifetime)."`
 
 	NormHits         int64 `json:"norm_hits" metric:"spes_engine_norm_memo_hits_total" help:"Normalization memo hits (lifetime)."`
 	NormMisses       int64 `json:"norm_misses" metric:"spes_engine_norm_memo_misses_total" help:"Normalization memo misses (lifetime)."`
@@ -129,6 +133,7 @@ func (s *StatsSnapshot) addResult(r Result) {
 	s.StoreMisses += int64(st.StoreMisses)
 	s.SessionEvictions += int64(st.SessionEvicts)
 	s.WitnessHits += int64(st.WitnessHits)
+	s.RefuteExhaustedHits += int64(st.ExhaustedHits)
 }
 
 // StatField describes one StatsSnapshot field, as its struct tags declare

@@ -61,10 +61,15 @@ func TestBatchRefutation(t *testing.T) {
 // persists witnesses; after a simulated restart (store closed, reopened,
 // crash-recovery scan run) a warm engine answers the same pairs with
 // byte-identical witnesses served from the store — confirmed by replay, and
-// visible as WitnessHits instead of fresh search rounds.
+// visible as WitnessHits instead of fresh search rounds. A pair whose
+// search exhausts its budget is answered warm from its exhausted-search
+// record, also without a round.
 func TestWitnessWarmRestart(t *testing.T) {
 	cat := corpus.Catalog()
-	pairs := refutablePairs()
+	// datagen draws integers from [0, 16), so no generated database
+	// separates SALARY > 100 from SALARY > 200.
+	pairs := append(refutablePairs(), Pair{ID: "exhausted",
+		SQL1: "SELECT EMP_ID FROM EMP WHERE SALARY > 100", SQL2: "SELECT EMP_ID FROM EMP WHERE SALARY > 200"})
 	dir := t.TempDir()
 
 	st1, err := store.OpenDir(dir)
@@ -90,12 +95,16 @@ func TestWitnessWarmRestart(t *testing.T) {
 	if warmStats.Refuted != 2 {
 		t.Fatalf("warm run refuted %d pairs, want 2", warmStats.Refuted)
 	}
-	var witnessHits int
+	if coldStats.RefuteExhaustedHits != 0 || warmStats.RefuteExhaustedHits != 1 {
+		t.Errorf("exhausted hits: cold %d, warm %d; want 0 and 1", coldStats.RefuteExhaustedHits, warmStats.RefuteExhaustedHits)
+	}
+	var witnessHits, warmRounds int
 	for i := range pairs {
 		if coldRes[i].Verdict != warmRes[i].Verdict {
 			t.Errorf("pair %s: verdict %v cold, %v after warm restart", pairs[i].ID, coldRes[i].Verdict, warmRes[i].Verdict)
 		}
 		witnessHits += warmRes[i].Stats.WitnessHits
+		warmRounds += warmRes[i].Stats.RefuteRounds
 		if coldRes[i].Witness == nil {
 			continue
 		}
@@ -110,5 +119,8 @@ func TestWitnessWarmRestart(t *testing.T) {
 	}
 	if witnessHits == 0 {
 		t.Errorf("warm restart served no witness from the store: %+v", warmStats)
+	}
+	if warmRounds != 0 {
+		t.Errorf("warm restart searched %d rounds, want 0", warmRounds)
 	}
 }

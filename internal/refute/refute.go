@@ -15,6 +15,7 @@ package refute
 
 import (
 	"context"
+	"strconv"
 	"time"
 
 	"spes/internal/datagen"
@@ -62,6 +63,52 @@ type Stats struct {
 	// stopped the search early. An aborted search without a witness says
 	// nothing about the pair.
 	Aborted bool
+	// Exhausted is set when the search ran all Budget rounds and found no
+	// witness. Like a witness, that outcome is a deterministic function of
+	// the pair and the options (see ExhaustedKey).
+	Exhausted bool
+}
+
+// SearchVersion names what Search does: the datagen streams it draws, the
+// executor semantics it compares outputs under, the default row bound and
+// the order of its rounds. Exhausted-search records are served without
+// replay on the strength of this number, so any change that could alter
+// what Search returns for some pair must bump it; TestSearchOutcomesPinned
+// fails until the outcomes it pins are re-recorded.
+const SearchVersion = 1
+
+// ExhaustedRecord is the record an exhausted search stores under its
+// ExhaustedKey. Only the key carries meaning.
+const ExhaustedRecord = "exhausted"
+
+// ExhaustedKey returns the store key that records "Search found no witness
+// for this pair within these options". witnessKey is the pair's witness key
+// (constraint digest and plan.PairKey of q1, q2). The key also names
+// everything else Search's outcome depends on: SearchVersion, the budget,
+// the effective row bound, the seed, and the column types of the tables the
+// search generates, which plan keys do not encode. It starts with 'x',
+// which no witness key does (they start with "c<digest>:" or a plan-node
+// keyword), so the two kinds of record never share a key.
+func ExhaustedKey(witnessKey string, q1, q2 plan.Node, opts Options) string {
+	b := make([]byte, 0, 48+len(witnessKey))
+	b = append(b, 'x')
+	b = strconv.AppendInt(b, SearchVersion, 10)
+	b = append(b, " b"...)
+	b = strconv.AppendInt(b, int64(opts.Budget), 10)
+	b = append(b, " r"...)
+	b = strconv.AppendInt(b, int64(opts.maxRows()), 10)
+	b = append(b, " s"...)
+	b = strconv.AppendInt(b, opts.Seed, 10)
+	b = append(b, " t"...)
+	for _, t := range collectTables(q1, q2) {
+		b = append(b, '[')
+		for _, c := range t.Columns {
+			b = append(b, '0'+byte(c.Type))
+		}
+		b = append(b, ']')
+	}
+	b = append(b, ' ')
+	return string(append(b, witnessKey...))
 }
 
 // Search looks for a witness distinguishing q1 from q2 within the budget.
@@ -130,6 +177,7 @@ func Search(q1, q2 plan.Node, opts Options) (w *Witness, st Stats) {
 		}
 		return newWitness(seed, round, tables, db, out1, out2), st
 	}
+	st.Exhausted = true
 	return nil, st
 }
 

@@ -222,27 +222,17 @@ func (s *Store) ApplyReplicated(data []byte) (ApplyStats, error) {
 // dedupe. Unknown kinds are skipped (a newer origin's record types are
 // data this replica cannot index, not an error).
 func (s *Store) applyRecord(payload []byte, st *ApplyStats) {
-	switch payload[0] {
-	case recVerdict:
-		key, _, ok := decodeVerdict(payload)
+	switch kind := payload[0]; kind {
+	case recVerdict, recWitness:
+		key, _, ok := decodeKeyed(payload, kind)
 		if !ok {
 			return
 		}
-		if _, hit := s.LookupVerdict(key); hit {
+		if _, hit := s.lookup(kind, string(key)); hit {
 			st.Duplicates++
 			return
 		}
-		s.applySync(pending{payload: payload, key: key, kind: recVerdict}, st)
-	case recWitness:
-		key, _, ok := decodeWitness(payload)
-		if !ok {
-			return
-		}
-		if _, hit := s.LookupWitness(key); hit {
-			st.Duplicates++
-			return
-		}
-		s.applySync(pending{payload: payload, key: key, kind: recWitness}, st)
+		s.applySync(pending{payload: payload, key: string(key), kind: kind}, st)
 	case recLemma:
 		lits, ok := decodeLemma(payload)
 		if !ok {

@@ -25,6 +25,7 @@
 package store
 
 import (
+	"bufio"
 	"encoding/binary"
 	"hash/crc32"
 	"io"
@@ -159,24 +160,33 @@ func OpenDir(dir string) (*Store, error) {
 // Path returns the log file path.
 func (s *Store) Path() string { return s.path }
 
+// scanBufSize is the read buffer of scan's single sequential pass.
+const scanBufSize = 64 << 10
+
 // scan replays the log, indexing verdict records and collecting lemmas.
 // It stops at — and truncates — the first record that is torn (short
 // header/payload) or fails its checksum: everything after a torn record is
 // unframed noise, and a half-written record must not survive a restart to
 // be half-read again by the next.
+//
+// It reads [0, size) once, in order, through a buffered reader, and reads
+// every payload into one reused buffer: nothing indexPayload or
+// noteDurableLocked keeps may alias it.
 func (s *Store) scan() error {
 	info, err := s.f.Stat()
 	if err != nil {
 		return err
 	}
 	total := info.Size()
+	r := bufio.NewReaderSize(io.NewSectionReader(s.f, 0, total), scanBufSize)
 	var off int64
-	hdr := make([]byte, headerLen)
+	var hdr [headerLen]byte
+	var payload []byte
 	for off < total {
 		if total-off < headerLen {
 			break // torn header
 		}
-		if _, err := s.f.ReadAt(hdr, off); err != nil {
+		if _, err := io.ReadFull(r, hdr[:]); err != nil {
 			return err
 		}
 		n := binary.BigEndian.Uint32(hdr[:4])
@@ -184,8 +194,11 @@ func (s *Store) scan() error {
 		if n == 0 || n > maxRecordLen || off+headerLen+int64(n) > total {
 			break // torn or absurd payload
 		}
-		payload := make([]byte, n)
-		if _, err := s.f.ReadAt(payload, off+headerLen); err != nil {
+		if cap(payload) < int(n) {
+			payload = make([]byte, n)
+		}
+		payload = payload[:n]
+		if _, err := io.ReadFull(r, payload); err != nil {
 			return err
 		}
 		if crc32.ChecksumIEEE(payload) != sum {
@@ -193,7 +206,7 @@ func (s *Store) scan() error {
 		}
 		s.indexPayload(payload, ref{off: off + headerLen, n: int(n)})
 		off += headerLen + int64(n)
-		s.noteDurableLocked(off, hdr, payload)
+		s.noteDurableLocked(off, hdr[:], payload)
 		s.stats.Records++
 	}
 	if off < total {
@@ -214,21 +227,14 @@ func (s *Store) indexPayload(payload []byte, r ref) {
 	if len(payload) == 0 {
 		return
 	}
-	switch payload[0] {
-	case recVerdict:
-		key, _, ok := decodeVerdict(payload)
+	switch kind := payload[0]; kind {
+	case recVerdict, recWitness:
+		key, _, ok := decodeKeyed(payload, kind)
 		if !ok {
 			return
 		}
-		fp := fnv64(key)
-		s.index[fp] = append(s.index[fp], r)
-	case recWitness:
-		key, _, ok := decodeWitness(payload)
-		if !ok {
-			return
-		}
-		fp := fnv64(key)
-		s.witness[fp] = append(s.witness[fp], r)
+		idx, fp := s.keyed(kind), fnv64(key)
+		idx[fp] = append(idx[fp], r)
 	case recLemma:
 		lits, ok := decodeLemma(payload)
 		if !ok {
@@ -244,36 +250,59 @@ func (s *Store) indexPayload(payload []byte, r ref) {
 	}
 }
 
-// LookupVerdict returns the stored verdict for the canonical obligation key,
-// if any. The index buckets on a 64-bit fingerprint; every candidate is
-// confirmed by reading its record back and comparing the full key, so a
-// fingerprint collision degrades to a read, never to a wrong verdict.
-func (s *Store) LookupVerdict(key string) (valid, ok bool) {
+// keyed returns the index of records of the given kind, 'V' or 'W'.
+func (s *Store) keyed(kind byte) map[uint64][]ref {
+	if kind == recWitness {
+		return s.witness
+	}
+	return s.index
+}
+
+// lookup returns the value of the first record of the given kind ('V' or
+// 'W') stored under key. The index buckets on a 64-bit fingerprint; every
+// candidate is confirmed by reading its record back and comparing the full
+// key, so a fingerprint collision degrades to a read, never to a wrong
+// answer. It counts nothing: Stats.Hits and Misses count LookupVerdict
+// calls only, not the dedupe probes of appends.
+func (s *Store) lookup(kind byte, key string) ([]byte, bool) {
 	fp := fnv64(key)
 	s.mu.Lock()
-	refs := s.index[fp]
+	refs := s.keyed(kind)[fp]
 	closed := s.closed
 	s.mu.Unlock()
 	if closed {
-		return false, false
+		return nil, false
 	}
 	for _, r := range refs {
 		payload := make([]byte, r.n)
 		if _, err := s.f.ReadAt(payload, r.off); err != nil {
 			break
 		}
-		k, v, good := decodeVerdict(payload)
-		if good && k == key {
-			s.mu.Lock()
-			s.stats.Hits++
-			s.mu.Unlock()
-			return v, true
+		if k, val, ok := decodeKeyed(payload, kind); ok && string(k) == key {
+			return val, true
 		}
 	}
+	return nil, false
+}
+
+// lookupVerdict is LookupVerdict without the hit and miss counts.
+func (s *Store) lookupVerdict(key string) (valid, ok bool) {
+	val, ok := s.lookup(recVerdict, key)
+	return ok && val[0] == 1, ok
+}
+
+// LookupVerdict returns the stored verdict for the canonical obligation key,
+// if any, confirmed on the full key (see lookup).
+func (s *Store) LookupVerdict(key string) (valid, ok bool) {
+	valid, ok = s.lookupVerdict(key)
 	s.mu.Lock()
-	s.stats.Misses++
+	if ok {
+		s.stats.Hits++
+	} else {
+		s.stats.Misses++
+	}
 	s.mu.Unlock()
-	return false, false
+	return valid, ok
 }
 
 // AppendVerdict queues a definite verdict for the canonical obligation key.
@@ -281,14 +310,8 @@ func (s *Store) LookupVerdict(key string) (valid, ok bool) {
 // costs a future re-proof. Duplicate keys are skipped best-effort (the log
 // is append-only; the first record for a key wins on lookup anyway).
 func (s *Store) AppendVerdict(key string, valid bool) {
-	fp := fnv64(key)
-	s.mu.Lock()
-	known := len(s.index[fp]) > 0
-	s.mu.Unlock()
-	if known {
-		if v, ok := s.LookupVerdict(key); ok && v == valid {
-			return
-		}
+	if v, ok := s.lookupVerdict(key); ok && v == valid {
+		return
 	}
 	s.enqueue(pending{payload: encodeVerdict(key, valid), key: key, kind: recVerdict})
 }
@@ -300,31 +323,7 @@ func (s *Store) AppendVerdict(key string, valid bool) {
 // decoded witness against the pair before trusting it — corruption here can
 // only lose a witness (the pair is re-refuted), never fabricate one.
 func (s *Store) LookupWitness(key string) ([]byte, bool) {
-	fp := fnv64(key)
-	s.mu.Lock()
-	refs := s.witness[fp]
-	closed := s.closed
-	s.mu.Unlock()
-	if closed {
-		return nil, false
-	}
-	for _, r := range refs {
-		payload := make([]byte, r.n)
-		if _, err := s.f.ReadAt(payload, r.off); err != nil {
-			break
-		}
-		k, data, good := decodeWitness(payload)
-		if good && k == key {
-			s.mu.Lock()
-			s.stats.Hits++
-			s.mu.Unlock()
-			return data, true
-		}
-	}
-	s.mu.Lock()
-	s.stats.Misses++
-	s.mu.Unlock()
-	return nil, false
+	return s.lookup(recWitness, key)
 }
 
 // AppendWitness queues a counterexample witness for a normalized pair key.
@@ -335,14 +334,8 @@ func (s *Store) AppendWitness(key string, data []byte) {
 	if key == "" || len(data) == 0 {
 		return
 	}
-	fp := fnv64(key)
-	s.mu.Lock()
-	known := len(s.witness[fp]) > 0
-	s.mu.Unlock()
-	if known {
-		if _, ok := s.LookupWitness(key); ok {
-			return
-		}
+	if _, ok := s.lookup(recWitness, key); ok {
+		return
 	}
 	s.enqueue(pending{payload: encodeWitness(key, data), key: key, kind: recWitness})
 }
@@ -466,14 +459,8 @@ func (s *Store) writeOne(p pending) (wrote bool) {
 	s.stats.Appends++
 	s.noteDurableLocked(s.size, hdr, p.payload)
 	if p.key != "" {
-		fp := fnv64(p.key)
-		r := ref{off: off + headerLen, n: len(p.payload)}
-		switch p.kind {
-		case recWitness:
-			s.witness[fp] = append(s.witness[fp], r)
-		default:
-			s.index[fp] = append(s.index[fp], r)
-		}
+		idx, fp := s.keyed(p.kind), fnv64(p.key)
+		idx[fp] = append(idx[fp], ref{off: off + headerLen, n: len(p.payload)})
 	}
 	return true
 }
@@ -546,22 +533,23 @@ func encodeVerdict(key string, valid bool) []byte {
 	return buf
 }
 
-func decodeVerdict(payload []byte) (key string, valid, ok bool) {
-	if len(payload) < 3 || payload[0] != recVerdict {
-		return "", false, false
+// decodeKeyed splits a 'V' or 'W' payload of the given kind into its key
+// and its value: one verdict byte (0 or 1), or one or more witness bytes.
+// Both slices alias payload.
+func decodeKeyed(payload []byte, kind byte) (key, val []byte, ok bool) {
+	if len(payload) < 3 || payload[0] != kind {
+		return nil, nil, false
 	}
 	rest := payload[1:]
 	n, w := binary.Uvarint(rest)
 	if w <= 0 || n >= maxRecordLen || uint64(len(rest)-w) < n+1 {
-		return "", false, false
+		return nil, nil, false
 	}
-	rest = rest[w:]
-	key = string(rest[:n])
-	v := rest[n]
-	if v > 1 || len(rest) != int(n)+1 {
-		return "", false, false
+	key, val = rest[w:w+int(n)], rest[w+int(n):]
+	if kind == recVerdict && (len(val) != 1 || val[0] > 1) {
+		return nil, nil, false
 	}
-	return key, v == 1, true
+	return key, val, true
 }
 
 // encodeWitness: 'W' | uvarint(len(key)) | key | data. The data bytes are
@@ -573,19 +561,6 @@ func encodeWitness(key string, data []byte) []byte {
 	buf = append(buf, key...)
 	buf = append(buf, data...)
 	return buf
-}
-
-func decodeWitness(payload []byte) (key string, data []byte, ok bool) {
-	if len(payload) < 3 || payload[0] != recWitness {
-		return "", nil, false
-	}
-	rest := payload[1:]
-	n, w := binary.Uvarint(rest)
-	if w <= 0 || n >= maxRecordLen || uint64(len(rest)-w) < n+1 {
-		return "", nil, false
-	}
-	rest = rest[w:]
-	return string(rest[:n]), rest[n:], true
 }
 
 // encodeLemma: 'L' | uvarint(k) | k × (uvarint(len(key)) | key | polByte).
@@ -647,7 +622,7 @@ const (
 	fnvPrime64  = 1099511628211
 )
 
-func fnv64(s string) uint64 {
+func fnv64[T string | []byte](s T) uint64 {
 	h := uint64(fnvOffset64)
 	for i := 0; i < len(s); i++ {
 		h = (h ^ uint64(s[i])) * fnvPrime64

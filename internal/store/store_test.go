@@ -292,3 +292,34 @@ func TestOpenDirCreates(t *testing.T) {
 		t.Fatalf("log file missing: %v", err)
 	}
 }
+
+// TestStatsCountVerdictLookupsOnly: Stats.Hits and Misses count
+// LookupVerdict calls and nothing else — not witness lookups, and not the
+// dedupe probes of appends or of replicated records.
+func TestStatsCountVerdictLookupsOnly(t *testing.T) {
+	s := openT(t, filepath.Join(t.TempDir(), "stats.log"))
+	defer s.Close()
+	s.AppendWitness("pair", []byte("w1"))
+	s.AppendVerdict("k", true)
+	s.Flush()
+	s.AppendWitness("pair", []byte("w2"))
+	s.AppendVerdict("k", true)
+	s.Flush()
+	s.LookupWitness("pair")
+	s.LookupWitness("absent")
+	chunk, _, err := s.ReadTail(0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st, err := s.ApplyReplicated(chunk); err != nil || st.Duplicates != 2 {
+		t.Fatalf("re-applying the log: %+v, %v", st, err)
+	}
+	if st := s.Snapshot(); st.Hits != 0 || st.Misses != 0 {
+		t.Fatalf("no verdict lookup yet, but Hits=%d Misses=%d", st.Hits, st.Misses)
+	}
+	s.LookupVerdict("k")
+	s.LookupVerdict("absent")
+	if st := s.Snapshot(); st.Hits != 1 || st.Misses != 1 {
+		t.Fatalf("one verdict hit and one miss, but Hits=%d Misses=%d", st.Hits, st.Misses)
+	}
+}

@@ -50,6 +50,7 @@ type Stats struct {
 	RefuteSearches  int   `json:"refute_searches"`   // bounded refutation searches run after failed proofs
 	RefuteRounds    int   `json:"refute_rounds"`     // candidate databases generated across those searches
 	WitnessHits     int   `json:"witness_hits"`      // witnesses answered (and re-confirmed) from the durable store
+	ExhaustedHits   int   `json:"exhausted_hits"`    // searches answered by a stored exhausted-search record
 }
 
 // ObligationCache memoizes validity outcomes across Verifiers. Keys are
@@ -95,12 +96,14 @@ type DurableStore interface {
 // WitnessStore persists refutation witnesses across processes, keyed on
 // the pair's canonical plan serialization (plan.PairKey of the normalized
 // plans — interner- and node-independent, like DurableStore keys). The
-// trust contract is stricter than for verdicts: stored bytes are never
-// served as-is. Refute decodes and replays every hit through the executor
-// and falls back to a fresh search if the replay no longer distinguishes
-// the plans, so a corrupt or stale record can cost a search but can never
-// fabricate a refutation. internal/store.Store is the canonical
-// implementation.
+// trust contract is stricter than for verdicts: nothing that could yield
+// Refuted is served from stored bytes. Refute decodes and replays every
+// witness hit through the executor and falls back to a fresh search if the
+// replay no longer distinguishes the plans, so a corrupt or stale record
+// can cost a search but can never fabricate a refutation. The same store
+// also holds exhausted-search records under refute.ExhaustedKey; those are
+// served without replay because they can only yield NotProved.
+// internal/store.Store is the canonical implementation.
 type WitnessStore interface {
 	// LookupWitness returns the stored witness encoding for the pair key.
 	LookupWitness(key string) ([]byte, bool)
@@ -312,13 +315,19 @@ func (v *Verifier) Cancelled() bool {
 //
 // When a WitnessStore is configured, a stored witness for the pair is
 // decoded and replayed first; only a hit that still distinguishes the
-// plans is returned, anything else falls through to a fresh search.
+// plans is returned. Next, a record that a search under the same options
+// already ran its whole budget for the pair without a witness returns nil
+// without searching: served without replay, because it can only yield
+// NotProved and is exactly what a fresh search would return (see
+// refute.ExhaustedKey). Anything else falls through to a fresh search,
+// whose witness or exhaustion is recorded for the next caller.
 func (v *Verifier) Refute(q1, q2 plan.Node) *refute.Witness {
 	if v.refuteBudget <= 0 || v.TimedOut() || v.Cancelled() {
 		return nil
 	}
 	v.stats.RefuteSearches++
-	var key string
+	opts := refute.Options{Budget: v.refuteBudget, Deadline: v.deadline, Ctx: v.ctx}
+	var key, exhaustedKey string
 	if v.witnesses != nil {
 		// Witness keys are plan-shaped and thus constraint-blind: the same
 		// pair can be refutable on a free catalog yet equivalent under
@@ -331,19 +340,21 @@ func (v *Verifier) Refute(q1, q2 plan.Node) *refute.Witness {
 				return w
 			}
 		}
+		exhaustedKey = refute.ExhaustedKey(key, q1, q2, opts)
+		if _, ok := v.witnesses.LookupWitness(exhaustedKey); ok {
+			v.stats.ExhaustedHits++
+			return nil
+		}
 	}
-	w, st := refute.Search(q1, q2, refute.Options{
-		Budget:   v.refuteBudget,
-		Deadline: v.deadline,
-		Ctx:      v.ctx,
-	})
+	w, st := refute.Search(q1, q2, opts)
 	v.stats.RefuteRounds += st.Rounds
-	if w == nil {
-		return nil
-	}
 	if v.witnesses != nil {
-		if data, err := w.Encode(); err == nil {
-			v.witnesses.AppendWitness(key, data)
+		if w != nil {
+			if data, err := w.Encode(); err == nil {
+				v.witnesses.AppendWitness(key, data)
+			}
+		} else if st.Exhausted {
+			v.witnesses.AppendWitness(exhaustedKey, []byte(refute.ExhaustedRecord))
 		}
 	}
 	return w
