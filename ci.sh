@@ -28,9 +28,8 @@ fi
 
 # Solver-construction lint: inside internal/verify, a bare solver must
 # only ever be built in verify.go (the Verifier's constructor wires the
-# interner, stats, and session table around it); any other non-test file
-# calling smt.New() would mint a solver that bypasses the incremental
-# session plumbing.
+# interner, deadline, context and lemma pool into it); any other non-test
+# file calling smt.New() would mint a solver without them.
 if grep -rn 'smt\.New()' internal/verify --include='*.go' \
     --exclude='*_test.go' | grep -v '^internal/verify/verify\.go:'; then
     echo "ci: smt.New() outside verify.go in internal/verify" >&2
@@ -70,21 +69,18 @@ go test -run '^$' -fuzz '^FuzzStoreOpen$' -fuzztime 10s ./internal/store/
 
 # The differential verdict-parity suite (a Verifier on a fresh private
 # interner vs one on an interner shared across the run, as in the engine)
-# is part of the -race run above; run it by name as well so a
-# test-filtering change can never silently drop it.
-go test -race -run 'TestDifferentialVerdictParity|TestPipelineFuzzDifferential' ./internal/verify/ .
-
-# Incremental-solving parity: sessions vs one-shot solving must agree on
-# every verdict over the randomized and pipeline-fuzz distributions, and
-# mid-session aborts must degrade soundly. Also part of the -race run
-# above; pinned by name for the same reason.
-go test -race -run 'TestIncrementalVerdictParity|TestPipelineFuzzIncrementalParity|TestSessionAbortDegradesSoundly' ./internal/verify/ .
+# and the model-round abort test (cancelled solver checks may cost proofs,
+# never mint them) are part of the -race run above; run them by name as
+# well so a test-filtering change can never silently drop them.
+go test -race -run 'TestDifferentialVerdictParity|TestPipelineFuzzDifferential|TestModelRoundAbortDegradesSoundly' ./internal/verify/ .
 
 # Memory-lifecycle parity: forced interner rotation (including concurrent
 # with in-flight workers) and a warm restart through the durable store must
-# both return verdicts identical to the unbounded cold run. Also part of
-# the -race run above; pinned by name for the same reason.
-go test -race -run 'TestForcedRotationParity|TestRotationConcurrentWithWorkers|TestWarmRestartParity' ./internal/engine/
+# both return verdicts identical to the unbounded cold run, and a cold
+# run's verdict and witness records must match their pinned digest, so a
+# store warmed by one version stays warm for the next. Also part of the
+# -race run above; pinned by name for the same reason.
+go test -race -run 'TestForcedRotationParity|TestRotationConcurrentWithWorkers|TestWarmRestartParity|TestStoreVerdictWitnessRecordsPinned' ./internal/engine/
 go test -race -run 'TestFaultTornAppend|TestChecksumCorruptionLosesNeverFabricates' ./internal/store/
 
 # Refutation soundness: every Refuted witness must replay, no Equivalent

@@ -120,19 +120,14 @@ type Options struct {
 	// MaxCandidates caps VeriVec's bijection search per vector pair
 	// (0 = verifier default).
 	MaxCandidates int
-	// DisableIncremental makes every verifier solve obligations with
-	// one-shot solver calls instead of prefix-sharing incremental sessions.
-	// Verdicts are identical either way; the switch feeds the incremental
-	// parity suite and the incremental benchmark's baseline.
-	DisableIncremental bool
 	// TermNodeHighWater, when > 0, bounds the shared term DAG: once the
 	// interner holds at least this many nodes, the engine opens a new
 	// interner epoch — workers that start after the rotation build through
 	// a fresh interner, in-flight verifications finish soundly on the
 	// retired one, and the retired DAG becomes collectable as obligation-
-	// cache entries (whose keys carry the interner tag) age out of the LRU
-	// and session tables drain. 0 means never rotate (the term DAG grows
-	// with workload diversity for the process lifetime, as before).
+	// cache entries (whose keys carry the interner tag) age out of the LRU.
+	// 0 means never rotate (the term DAG grows with workload diversity for
+	// the process lifetime, as before).
 	TermNodeHighWater int
 	// Store, when non-nil, is the durable verdict store: obligations that
 	// miss the in-memory cache are answered from it, definite verdicts are
@@ -670,12 +665,11 @@ const DefaultWatchdogGrace = 2 * time.Second
 // so a solver stuck past deadline-plus-grace cannot pin the worker.
 func (w *Worker) check(ctx context.Context, q1, q2 plan.Node) Result {
 	cfg := verify.Config{
-		MaxCandidates:      w.shared.opts.MaxCandidates,
-		Interner:           w.shared.interner(),
-		DisableIncremental: w.shared.opts.DisableIncremental,
-		Lemmas:             w.shared.root().lemmas,
-		RefuteBudget:       w.shared.opts.RefuteBudget,
-		ConstraintDigest:   w.shared.opts.ConstraintDigest,
+		MaxCandidates:    w.shared.opts.MaxCandidates,
+		Interner:         w.shared.interner(),
+		Lemmas:           w.shared.root().lemmas,
+		RefuteBudget:     w.shared.opts.RefuteBudget,
+		ConstraintDigest: w.shared.opts.ConstraintDigest,
 	}
 	if w.shared.cache != nil {
 		cfg.Cache = w.shared.cache

@@ -3,6 +3,9 @@ package engine
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"os"
 	"path/filepath"
 	"sync/atomic"
@@ -193,30 +196,35 @@ func TestWarmRestartParity(t *testing.T) {
 	}
 }
 
+// coldStoreLog runs pairs once through a cold single-worker engine with
+// shared lemmas and refutation budget 64 over a fresh store, and returns
+// the bytes of the log it wrote.
+func coldStoreLog(t *testing.T, pairs []Pair) []byte {
+	t.Helper()
+	dir := t.TempDir()
+	st, err := store.OpenDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := NewEngine(corpus.Catalog(), Options{Workers: 1, Store: st, ShareLemmas: true, RefuteBudget: 64})
+	eng.VerifyBatch(context.Background(), pairs, 1)
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(filepath.Join(dir, "spes-verdicts.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
 // TestStoreLogDeterministic pins that the durable store's bytes are a
 // deterministic function of the pairs: two cold single-worker runs with
 // shared lemmas and refutation write byte-identical logs — verdict,
 // witness and lemma records, down to the literal order inside each lemma.
 func TestStoreLogDeterministic(t *testing.T) {
 	pairs := calcitePairs()
-	run := func() []byte {
-		dir := t.TempDir()
-		st, err := store.OpenDir(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		eng := NewEngine(corpus.Catalog(), Options{Workers: 1, Store: st, ShareLemmas: true, RefuteBudget: 64})
-		eng.VerifyBatch(context.Background(), pairs, 1)
-		if err := st.Close(); err != nil {
-			t.Fatal(err)
-		}
-		data, err := os.ReadFile(filepath.Join(dir, "spes-verdicts.log"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return data
-	}
-	first, second := run(), run()
+	first, second := coldStoreLog(t, pairs), coldStoreLog(t, pairs)
 	if len(first) == 0 {
 		t.Fatal("sanity: the run persisted nothing")
 	}
@@ -227,5 +235,52 @@ func TestStoreLogDeterministic(t *testing.T) {
 		}
 		t.Fatalf("two runs of the same pairs wrote different logs (%d and %d bytes, first difference at byte %d)",
 			len(first), len(second), n)
+	}
+}
+
+// TestStoreVerdictWitnessRecordsPinned pins the verdict ('V') and witness
+// ('W') records of TestStoreLogDeterministic's run: their payloads, in log
+// order, must digest to the pinned value, so a store warmed by one version
+// answers the next one warm. Lemma ('L') records are free to change with
+// the solver's search. A change to obligation keys, verdicts or witnesses
+// must update the pin on purpose.
+func TestStoreVerdictWitnessRecordsPinned(t *testing.T) {
+	const (
+		wantDigest       = "d2933ca135bf58b6"
+		wantVerdicts     = 91
+		wantVerdictBytes = 43709
+		wantWitnesses    = 12
+		wantWitnessBytes = 3159
+	)
+	data := coldStoreLog(t, calcitePairs())
+	h := sha256.New()
+	count, size := map[byte]int{}, map[byte]int{}
+	for off := 0; off < len(data); {
+		if len(data)-off < 8 {
+			t.Fatalf("torn record header at byte %d", off)
+		}
+		n := int(binary.BigEndian.Uint32(data[off:]))
+		if n == 0 || off+8+n > len(data) {
+			t.Fatalf("torn record at byte %d", off)
+		}
+		rec := data[off : off+8+n] // 4-byte length, 4-byte CRC, payload
+		off += len(rec)
+		kind := rec[8]
+		count[kind]++
+		size[kind] += n
+		if kind == 'V' || kind == 'W' {
+			h.Write(rec[:4]) // the length prefix keeps record boundaries in the digest
+			h.Write(rec[8:])
+		}
+	}
+	if count['V'] != wantVerdicts || size['V'] != wantVerdictBytes {
+		t.Errorf("verdict records: %d (%d payload bytes), want %d (%d)", count['V'], size['V'], wantVerdicts, wantVerdictBytes)
+	}
+	if count['W'] != wantWitnesses || size['W'] != wantWitnessBytes {
+		t.Errorf("witness records: %d (%d payload bytes), want %d (%d)", count['W'], size['W'], wantWitnesses, wantWitnessBytes)
+	}
+	if got := hex.EncodeToString(h.Sum(nil))[:16]; got != wantDigest {
+		t.Errorf("verdict and witness records digest to %s, pinned %s (%d lemma records, %d log bytes)",
+			got, wantDigest, count['L'], len(data))
 	}
 }

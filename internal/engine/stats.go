@@ -33,10 +33,8 @@ type StatsSnapshot struct {
 	Panics         int64 `json:"panics" metric:"spes_panics_recovered_total" help:"Panics recovered into degraded verdicts or HTTP 500s instead of crashing the process (lifetime)."`
 	WatchdogAborts int64 `json:"watchdog_aborts" metric:"spes_watchdog_aborts_total" help:"Verifications abandoned by the watchdog after running past deadline-plus-grace (lifetime)."`
 
-	SolverQueries  int64 `json:"solver_queries" metric:"spes_engine_solver_queries_total" help:"SMT queries issued (lifetime)."`
-	SolverSessions int64 `json:"solver_sessions" metric:"spes_solver_sessions_total" help:"Incremental solver sessions opened (lifetime)."`
-	PrefixReuse    int64 `json:"prefix_reuse" metric:"spes_solver_prefix_reuse_total" help:"Obligation checks that reused an already-encoded session prefix (lifetime)."`
-	ModelRounds    int64 `json:"model_rounds" metric:"spes_engine_model_rounds_total" help:"Propositional models the solvers examined (lifetime)."`
+	SolverQueries int64 `json:"solver_queries" metric:"spes_engine_solver_queries_total" help:"SMT queries issued (lifetime)."`
+	ModelRounds   int64 `json:"model_rounds" metric:"spes_engine_model_rounds_total" help:"Propositional models the solvers examined (lifetime)."`
 
 	// TermNodes is the CURRENT epoch's node count (0 with interning
 	// disabled); InternerEpochs lets a dashboard tell "the gauge fell
@@ -44,10 +42,9 @@ type StatsSnapshot struct {
 	TermNodes      int64 `json:"term_nodes" metric:"spes_engine_term_nodes" help:"Distinct term nodes in the engine's current interner epoch; with rotation on (TermNodeHighWater > 0) this stays bounded by the high-water mark, and the engine's live term memory is proportional to it once retired epochs are collected."`
 	InternerEpochs int64 `json:"interner_epochs" metric:"spes_engine_interner_epochs_total" help:"Interner epochs opened, including the initial one; increments when the term DAG crosses the rotation high-water mark."`
 
-	StoreHits        int64 `json:"store_hits" metric:"spes_store_hits_total" help:"Obligations answered from the durable verdict store (lifetime)."`
-	StoreMisses      int64 `json:"store_misses" metric:"spes_store_misses_total" help:"Durable-store lookups that found no verdict (lifetime)."`
-	SessionEvictions int64 `json:"session_evictions" metric:"spes_engine_session_evictions_total" help:"Verify sessions evicted from the bounded session tables, by LRU pressure or epoch rotation (lifetime)."`
-	WitnessHits      int64 `json:"witness_hits" metric:"spes_store_witness_hits_total" help:"Refutations answered by a stored (possibly replicated) witness that replayed, instead of a fresh search (lifetime)."`
+	StoreHits   int64 `json:"store_hits" metric:"spes_store_hits_total" help:"Obligations answered from the durable verdict store (lifetime)."`
+	StoreMisses int64 `json:"store_misses" metric:"spes_store_misses_total" help:"Durable-store lookups that found no verdict (lifetime)."`
+	WitnessHits int64 `json:"witness_hits" metric:"spes_store_witness_hits_total" help:"Refutations answered by a stored (possibly replicated) witness that replayed, instead of a fresh search (lifetime)."`
 	// RefuteExhaustedHits explains a not-proved pair served warm: a stored
 	// record says a search under the same options already ran its whole
 	// budget for the pair without a witness.
@@ -126,12 +123,9 @@ func (s *StatsSnapshot) addResult(r Result) {
 	}
 	st := r.Stats
 	s.SolverQueries += int64(st.SolverQueries)
-	s.SolverSessions += int64(st.SolverSessions)
-	s.PrefixReuse += int64(st.PrefixReuse)
 	s.ModelRounds += int64(st.ModelRounds)
 	s.StoreHits += int64(st.StoreHits)
 	s.StoreMisses += int64(st.StoreMisses)
-	s.SessionEvictions += int64(st.SessionEvicts)
 	s.WitnessHits += int64(st.WitnessHits)
 	s.RefuteExhaustedHits += int64(st.ExhaustedHits)
 }

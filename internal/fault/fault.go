@@ -48,10 +48,6 @@ const (
 	// WorkerSpawn fires when the engine constructs a per-goroutine
 	// worker.
 	WorkerSpawn Site = "worker-spawn"
-	// SMTPushPop fires in an incremental solver session between the pushed
-	// prefix and a suffix check — the window where an abort must leave the
-	// session unusable for that query yet leak nothing into the next pair.
-	SMTPushPop Site = "smt-push-pop"
 	// StoreAppend fires in the durable verdict store between writing a
 	// record's header and its payload — the torn-write window. A panic here
 	// leaves a truncatable tail; a cancel skips the write entirely (the
@@ -95,7 +91,7 @@ const (
 
 // Sites returns every registered site, in stable order.
 func Sites() []Site {
-	return []Site{Normalize, VeriSPJ, SMTModelRound, CoalesceLeader, WorkerSpawn, SMTPushPop, StoreAppend, RouterForward, RefuteSearch, ConstraintAxioms, StoreReplicate}
+	return []Site{Normalize, VeriSPJ, SMTModelRound, CoalesceLeader, WorkerSpawn, StoreAppend, RouterForward, RefuteSearch, ConstraintAxioms, StoreReplicate}
 }
 
 // Kind is the species of an injected fault.

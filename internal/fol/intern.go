@@ -69,10 +69,10 @@ func (in *Interner) Tag() uint64 { return in.tag }
 
 // Retire marks this interner as belonging to a closed epoch. Retirement is
 // advisory: the interner keeps working — in-flight verifiers that captured it
-// finish their pair on it soundly — but long-lived holders (session tables,
-// pooled verifiers) poll Retired and drop state keyed on its IDs before the
-// next unit of work, so a retired epoch's DAG becomes unreachable and is
-// collected. Retiring is idempotent and safe concurrently with interning.
+// finish their pair on it soundly — but long-lived holders may poll Retired
+// and drop state keyed on its IDs before the next unit of work, so a
+// retired epoch's DAG becomes unreachable and is collected. Retiring is
+// idempotent and safe concurrently with interning.
 func (in *Interner) Retire() { in.retired.Store(true) }
 
 // Retired reports whether Retire has been called.

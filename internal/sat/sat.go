@@ -98,8 +98,7 @@ type Solver struct {
 	heap    *varHeap
 	varInc  float64
 	claInc  float64
-	unsat   bool  // a top-level conflict was derived
-	failed  []Lit // assumption subset behind the last assumption failure
+	unsat   bool // a top-level conflict was derived
 	numConf int64
 
 	// MaxConflicts bounds a single Solve call; 0 means no bound. When the
@@ -382,23 +381,10 @@ func (s *Solver) pickBranchVar() int {
 	}
 }
 
-// Solve searches for a satisfying assignment under the given assumption
-// literals (MiniSat-style "solving under assumptions"). Assumptions are
-// placed as the first decisions, so everything the solver learns — learned
-// clauses, variable activities, saved phases — is a consequence of the
-// clause database alone and remains valid for later Solve calls with
-// different assumptions. When the assumptions themselves are refuted, Solve
-// returns Unsat without marking the problem unsatisfiable and
-// FailedAssumptions reports a conflicting subset.
-//
-// Solve is restartable: add more clauses after any result and call it again.
-func (s *Solver) Solve(assumps ...Lit) Status {
-	s.failed = nil
-	for _, p := range assumps {
-		if p.Var() >= s.NumVars() {
-			panic("sat: assumption over unallocated variable")
-		}
-	}
+// Solve searches for a satisfying assignment. Solve is restartable: add
+// more clauses after any result and call it again; learned clauses,
+// variable activities and saved phases carry over.
+func (s *Solver) Solve() Status {
 	if s.unsat {
 		return Unsat
 	}
@@ -445,29 +431,7 @@ func (s *Solver) Solve(assumps ...Lit) Status {
 		if conflictsSinceRestart >= restartLimit {
 			conflictsSinceRestart = 0
 			restartLimit += restartLimit / 2
-			// A restart cancels the assumption prefix too; the placement
-			// loop below re-establishes it before any free decision.
 			s.cancelUntil(0)
-			continue
-		}
-		if s.decisionLevel() < len(assumps) {
-			p := assumps[s.decisionLevel()]
-			switch s.value(p) {
-			case lTrue:
-				// Already implied: open a dummy decision level so each
-				// assumption keeps its positional level.
-				s.trailLim = append(s.trailLim, len(s.trail))
-			case lFalse:
-				// The clause database refutes this assumption given the
-				// earlier ones. The problem itself is not unsatisfiable, so
-				// s.unsat stays clear; report the conflicting subset.
-				s.failed = s.analyzeFinal(p)
-				s.cancelUntil(0)
-				return Unsat
-			default:
-				s.trailLim = append(s.trailLim, len(s.trail))
-				s.enqueue(p, nil)
-			}
 			continue
 		}
 		v := s.pickBranchVar()
@@ -477,40 +441,4 @@ func (s *Solver) Solve(assumps ...Lit) Status {
 		s.trailLim = append(s.trailLim, len(s.trail))
 		s.enqueue(MkLit(v, !s.polarity[v]), nil)
 	}
-}
-
-// FailedAssumptions returns, after Solve(assumps...) returned Unsat because
-// of its assumptions, a subset of those assumptions (in assumed polarity)
-// whose conjunction the clause database refutes. It returns nil when the
-// problem is unsatisfiable outright, and is reset by the next Solve call.
-func (s *Solver) FailedAssumptions() []Lit { return s.failed }
-
-// analyzeFinal walks reason chains backward from the falsified assumption p
-// to the assumption decisions that forced it, returning p plus those
-// assumptions in assumed polarity. It is only called while every decision on
-// the trail is an assumption.
-func (s *Solver) analyzeFinal(p Lit) []Lit {
-	out := []Lit{p}
-	if s.decisionLevel() == 0 {
-		return out
-	}
-	s.seen[p.Var()] = true
-	for i := len(s.trail) - 1; i >= s.trailLim[0]; i-- {
-		v := s.trail[i].Var()
-		if !s.seen[v] {
-			continue
-		}
-		if s.reason[v] == nil {
-			out = append(out, s.trail[i])
-		} else {
-			for _, l := range s.reason[v].lits {
-				if l.Var() != v && s.level[l.Var()] > 0 {
-					s.seen[l.Var()] = true
-				}
-			}
-		}
-		s.seen[v] = false
-	}
-	s.seen[p.Var()] = false
-	return out
 }

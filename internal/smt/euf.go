@@ -28,12 +28,13 @@ type euf struct {
 	diseqs   [][2]int
 	conflict bool
 
-	// Trail-based undo for incremental sessions: between mark and undo every
-	// state mutation (merges, signature inserts, disequalities) is recorded
-	// and can be rolled back exactly, so one engine serves many theory checks
-	// over a growing but stable registration base. Registration itself
-	// (node + registration-time congruence merges) is model-independent and
-	// never recorded: it stays valid for the lifetime of the instance.
+	// Trail-based undo: between mark and undo every state mutation (merges,
+	// signature inserts, disequalities) is recorded and can be rolled back
+	// exactly, so one engine serves every theory check of an instance's
+	// model rounds and core minimizations over a growing but stable
+	// registration base. Registration itself (node + registration-time
+	// congruence merges) is model-independent and never recorded: it stays
+	// valid for the lifetime of the instance.
 	recording bool
 	trail     []eufRec
 }

@@ -12,8 +12,8 @@ type LemmaLit struct {
 }
 
 // LemmaPool shares theory lemmas across solvers, pairs, and — through a
-// sink — processes. A session's private lemmaStore dies with the session;
-// the pool is the long-lived tier above it.
+// sink — processes. A check's private lemmaStore dies with the check; the
+// pool is the long-lived tier above it.
 //
 // Soundness: every pooled lemma is a blocked theory core — a conjunction
 // l₁ ∧ … ∧ lₖ of LRA/EUF literals over free variables that the theory layer
@@ -124,7 +124,7 @@ func (p *LemmaPool) addCore(core []theoryLit) {
 }
 
 // poolFingerprint hashes a lemma order-independently (XOR of per-literal
-// FNV hashes), mirroring the session-local lemmaStore dedupe.
+// FNV hashes).
 func poolFingerprint(lits []LemmaLit) uint64 {
 	var fp uint64
 	for _, l := range lits {

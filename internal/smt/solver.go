@@ -40,18 +40,14 @@ func (r Result) String() string {
 // itself, the counters are owned by one goroutine — copy them on the
 // owning goroutine before handing the numbers to another.
 type Stats struct {
-	Queries       int
-	ModelRounds   int   // propositional models examined across queries
-	TheoryConfls  int   // theory conflicts (blocking clauses learned)
-	Atoms         int   // theory atoms across queries
-	MaxRoundsHit  int   // queries that exhausted the model budget
-	DeadlineHit   int   // checks aborted by the wall-clock deadline
-	CancelHit     int   // checks aborted by context cancellation
-	CoreChecks    int64 // theory checks spent minimizing cores
-	Sessions      int   // incremental sessions opened (one per one-shot CheckSat)
-	PrefixEncodes int   // prefix cases encoded by Session.Push
-	SuffixChecks  int   // CheckSatUnder calls answered across sessions
-	PrefixReuse   int   // suffix checks that reused an already-encoded prefix
+	Queries      int
+	ModelRounds  int   // propositional models examined across queries
+	TheoryConfls int   // theory conflicts (blocking clauses learned)
+	Atoms        int   // theory atoms across queries
+	MaxRoundsHit int   // queries that exhausted the model budget
+	DeadlineHit  int   // checks aborted by the wall-clock deadline
+	CancelHit    int   // checks aborted by context cancellation
+	CoreChecks   int64 // theory checks spent minimizing cores
 }
 
 // Solver checks satisfiability and validity of quantifier-free fol formulas.
@@ -78,15 +74,15 @@ type Solver struct {
 	// contexts here so a dropped client or a draining shutdown stops
 	// burning solver time.
 	Ctx context.Context
-	// Interner is the interner the solver works in. CheckSat and the
-	// session entry points intern their input into it, so the whole
-	// pipeline (ITE lifting, NNF, case splitting, CNF encoding, congruence
-	// closure, simplex) operates on one DAG and keys its maps on dense term
-	// IDs instead of canonical strings. Callers set it to the interner they
-	// build in (verify, normalize and equitas all do), which makes entry
-	// interning a pointer check; when nil, the solver adopts the interner
-	// of the first formula it is given. A formula from any other interner
-	// is copied in structurally, which cannot change a verdict.
+	// Interner is the interner the solver works in. CheckSat interns its
+	// input into it, so the whole pipeline (ITE lifting, NNF, case
+	// splitting, CNF encoding, congruence closure, simplex) operates on one
+	// DAG and keys its maps on dense term IDs instead of canonical strings.
+	// Callers set it to the interner they build in (verify, normalize and
+	// equitas all do), which makes entry interning a pointer check; when
+	// nil, the solver adopts the interner of the first formula it is given.
+	// A formula from any other interner is copied in structurally, which
+	// cannot change a verdict.
 	Interner *fol.Interner
 	// SharedLemmas, when non-nil, is a cross-pair (and, through its sink,
 	// cross-process) theory-lemma pool: every blocked core this solver
@@ -119,14 +115,45 @@ func New() *Solver {
 	}
 }
 
-// CheckSat decides satisfiability of f, which must be boolean-sorted. It is
-// a thin wrapper over a single-use incremental session — pushing f as the
-// prefix and checking it under the trivial suffix — so one-shot and
-// incremental solving share exactly one solve path.
+// maxCases caps the case split: a check examines at most maxCases solver
+// problems.
+const maxCases = 64
+
+// CheckSat decides satisfiability of f, which must be boolean-sorted. It
+// interns f, lifts numeric ITEs into fresh variables with defining
+// constraints, distributes top-level disjunctions into at most maxCases
+// cases, and solves each case on a fresh instance: f is satisfiable iff
+// some case is. Theory lemmas learned in one case are replayed into every
+// later case whose vocabulary covers them. Deadline and context
+// cancellation degrade the verdict to Unknown.
 func (s *Solver) CheckSat(f *fol.Term) Result {
-	se := s.NewSession()
-	se.Push(f)
-	return se.CheckSatUnder(fol.True())
+	if f.Sort != fol.SortBool {
+		panic(fmt.Sprintf("smt: CheckSat on non-boolean term %v", f))
+	}
+	s.Stats.Queries++
+	store := new(lemmaStore)
+	sawUnknown := false
+	for _, c := range splitCases(nnf(s.liftIte(s.own(f)), false), maxCases) {
+		switch c.Kind {
+		case fol.KFalse:
+			continue // an unsatisfiable case contributes nothing
+		case fol.KTrue:
+			return Sat
+		}
+		if s.expired() {
+			return Unknown
+		}
+		switch s.run(s.newCaseInstance(c, store)) {
+		case Sat:
+			return Sat
+		case Unknown:
+			sawUnknown = true
+		}
+	}
+	if sawUnknown {
+		return Unknown
+	}
+	return Unsat
 }
 
 // own interns f into the solver's interner — adopting f's own interner
@@ -222,8 +249,8 @@ func replaceConjunct(f, old, repl *fol.Term) *fol.Term {
 	return fol.And(args...)
 }
 
-// checkOne solves a single already-lifted case one-shot, on the same
-// instance machinery the session path uses.
+// checkOne solves a single already-lifted case without splitting it, on
+// the instance machinery CheckSat uses.
 func (s *Solver) checkOne(f *fol.Term) Result {
 	switch f.Kind {
 	case fol.KTrue:
@@ -231,27 +258,26 @@ func (s *Solver) checkOne(f *fol.Term) Result {
 	case fol.KFalse:
 		return Unsat
 	}
-	// Sessions intern on entry, making this a pointer check; it matters
-	// only for callers (tests) that drive checkOne directly.
-	return s.run(s.newCaseInstance(s.own(f)))
+	return s.run(s.newCaseInstance(s.own(f), new(lemmaStore)))
 }
 
 // newCaseInstance builds the per-case solver state: a CDCL instance wired
-// to the solver's budgets and abort hook, a persistent congruence engine,
-// and — unless the case is the trivial ⊤ — the encoded root constraint
-// with its trichotomy clauses.
-func (s *Solver) newCaseInstance(c *fol.Term) *instance {
+// to the solver's budgets and abort hook, a congruence engine, the encoded
+// case with its trichotomy clauses, and every pooled and stored lemma the
+// case's vocabulary covers. Cores the instance learns are recorded in
+// store for the check's later cases.
+func (s *Solver) newCaseInstance(c *fol.Term, store *lemmaStore) *instance {
 	in := newInstance()
 	in.sat.MaxConflicts = s.MaxSATConflicts
 	in.sat.Stop = s.aborted
 	in.theory = newEUF()
 	in.shared = s.SharedLemmas
-	if c.Kind != fol.KTrue {
-		in.sat.AddClause(in.encode(c))
-		in.addTrichotomy()
-		in.replayShared()
-		s.Stats.Atoms += len(in.atoms)
-	}
+	in.store = store
+	in.sat.AddClause(in.encode(c))
+	in.addTrichotomy()
+	in.replayShared()
+	in.replayLemmas()
+	s.Stats.Atoms += len(in.atoms)
 	return in
 }
 
@@ -310,12 +336,11 @@ func (s *Solver) aborted() bool {
 	return false
 }
 
-// run drives the lazy DPLL(T) loop on an encoded instance, solving under
-// the given assumption literals (session suffix guards). Everything learned
-// along the way — CDCL learned clauses, theory blocking clauses — is a
-// consequence of the clause database plus theory-valid lemmas, never of the
-// assumptions, so it soundly persists into later runs on the same instance.
-func (s *Solver) run(in *instance, assumps ...sat.Lit) Result {
+// run drives the lazy DPLL(T) loop on an encoded instance: each
+// propositional model is checked against the theories, and each theory
+// conflict is blocked by a minimized core until the SAT core runs out of
+// models or the theories accept one.
+func (s *Solver) run(in *instance) Result {
 	for round := 0; round < s.MaxModelRounds; round++ {
 		if s.expired() {
 			return Unknown
@@ -324,7 +349,7 @@ func (s *Solver) run(in *instance, assumps ...sat.Lit) Result {
 			s.Stats.CancelHit++
 			return Unknown
 		}
-		switch in.sat.Solve(assumps...) {
+		switch in.sat.Solve() {
 		case sat.Unsat:
 			return Unsat
 		case sat.Unknown:
@@ -467,23 +492,11 @@ func (s *Solver) Valid(f *fol.Term) bool {
 
 // liftIte removes numeric if-then-else terms by introducing fresh variables
 // with defining constraints, producing an equisatisfiable formula with the
-// defining constraints conjoined on top.
+// defining constraints conjoined on top. The input is interned, so the memo
+// of replaced ITE nodes keys on pointers: structurally equal occurrences
+// are the same node and share one fresh variable.
 func (s *Solver) liftIte(f *fol.Term) *fol.Term {
-	g, defs := s.liftIteInto(make(map[*fol.Term]*fol.Term), f)
-	if len(defs) == 0 {
-		return g
-	}
-	return fol.And(append([]*fol.Term{g}, defs...)...)
-}
-
-// liftIteInto is liftIte against a caller-owned memo, returning the defining
-// constraints introduced by this call separately. The input is interned, so
-// the memo of replaced ITE nodes keys on pointers: structurally equal
-// occurrences are the same node and share one fresh variable. A session
-// passes the same memo for its prefix and every suffix, so an ITE already
-// lifted (and defined) by an earlier formula is reused without re-emitting
-// its definitions.
-func (s *Solver) liftIteInto(memo map[*fol.Term]*fol.Term, f *fol.Term) (*fol.Term, []*fol.Term) {
+	memo := make(map[*fol.Term]*fol.Term)
 	var defs []*fol.Term
 	var rec func(t *fol.Term) *fol.Term
 	rec = func(t *fol.Term) *fol.Term {
@@ -517,5 +530,9 @@ func (s *Solver) liftIteInto(memo map[*fol.Term]*fol.Term, f *fol.Term) (*fol.Te
 		}
 		return cur
 	}
-	return rec(f), defs
+	g := rec(f)
+	if len(defs) == 0 {
+		return g
+	}
+	return fol.And(append([]*fol.Term{g}, defs...)...)
 }

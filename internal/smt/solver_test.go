@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"spes/internal/fol"
+	"spes/internal/sat"
 )
 
 // tin owns the terms the package's tests build.
@@ -37,6 +38,81 @@ func TestCheckSatBasics(t *testing.T) {
 	// x>5, contradicting x<3 over the rationals too.
 	checkSat(t, fol.And(fol.Gt(fol.Add(x, tin.Int(5)), tin.Int(10)), fol.Lt(x, tin.Int(3))), Unsat)
 	checkSat(t, fol.And(fol.Gt(fol.Add(x, tin.Int(5)), tin.Int(10)), fol.Lt(x, tin.Int(6))), Sat)
+}
+
+// TestCheckSatObligationShapes checks conjunctions shaped like the
+// verifier's obligations, prefix ∧ ¬suffix: arithmetic and congruence
+// under an arithmetic-implied equality, a contradictory prefix, and an ITE
+// occurring twice in one formula, which must share one lifted variable.
+func TestCheckSatObligationShapes(t *testing.T) {
+	x, y := tin.NumVar("x"), tin.NumVar("y")
+	fx, fy := tin.App("f", fol.SortNum, x), tin.App("f", fol.SortNum, y)
+	xEqY := fol.And(fol.Le(x, y), fol.Le(y, x))
+	minXY := fol.Ite(fol.Le(x, y), x, y)
+	zero, one, five := tin.Int(0), tin.Int(1), tin.Int(5)
+
+	checkSat(t, fol.And(xEqY, fol.Lt(x, y)), Unsat)
+	checkSat(t, fol.And(xEqY, fol.Eq(x, y)), Sat)
+	checkSat(t, fol.And(fol.Le(zero, x), fol.Lt(x, zero)), Unsat)
+	checkSat(t, fol.And(fol.Le(zero, x), fol.Lt(x, one)), Sat)
+	checkSat(t, fol.And(fol.Lt(x, zero), fol.Lt(zero, x), fol.Eq(x, x)), Unsat)
+	checkSat(t, fol.And(fol.Eq(minXY, five), fol.Lt(x, five)), Unsat)
+	checkSat(t, fol.And(fol.Eq(minXY, five), fol.Lt(minXY, five)), Unsat)
+	checkSat(t, fol.Eq(minXY, five), Sat)
+	checkSat(t, fol.And(xEqY, fol.Not(fol.Eq(fx, fy))), Unsat)
+	checkSat(t, fol.And(xEqY, fol.Eq(fx, fy)), Sat)
+}
+
+// TestLemmaStoreKeepsDistinctCores pins that a check's lemma store keeps
+// every distinct core, including two whose literal codes (2·atom ID +
+// polarity) have equal sums, and replays both into a later case whose
+// vocabulary covers them.
+func TestLemmaStoreKeepsDistinctCores(t *testing.T) {
+	in := fol.NewInterner()
+	a, b, c, d := in.BoolVar("a"), in.BoolVar("b"), in.BoolVar("c"), in.BoolVar("d")
+	core1 := []theoryLit{{atom: a, pos: true}, {atom: d, pos: false}}
+	core2 := []theoryLit{{atom: b, pos: true}, {atom: c, pos: false}}
+	codeSum := func(core []theoryLit) uint32 {
+		var sum uint32
+		for _, l := range core {
+			sum += 2 * l.atom.ID()
+			if l.pos {
+				sum++
+			}
+		}
+		return sum
+	}
+	if codeSum(core1) != codeSum(core2) {
+		t.Fatalf("sanity: code sums %d and %d differ", codeSum(core1), codeSum(core2))
+	}
+	store := new(lemmaStore)
+	store.record(core1)
+	store.record(core2)
+	if len(store.lemmas) != 2 {
+		t.Fatalf("store holds %d lemmas, want 2", len(store.lemmas))
+	}
+	caseFormula := fol.Or(a, b, c, d)
+	for i, core := range [][]theoryLit{core1, core2} {
+		for _, st := range []*lemmaStore{new(lemmaStore), store} {
+			s := New()
+			s.Interner = in
+			inst := s.newCaseInstance(caseFormula, st)
+			for _, l := range core {
+				lit := inst.atomLit(l.atom)
+				if !l.pos {
+					lit = lit.Not()
+				}
+				inst.sat.AddClause(lit)
+			}
+			want := sat.Unsat // the replayed core blocks its own literals
+			if st != store {
+				want = sat.Sat
+			}
+			if got := inst.sat.Solve(); got != want {
+				t.Errorf("core %d with %d stored lemmas: %v, want %v", i+1, len(st.lemmas), got, want)
+			}
+		}
+	}
 }
 
 func TestValidity(t *testing.T) {

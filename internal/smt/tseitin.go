@@ -21,36 +21,16 @@ type instance struct {
 	trueLit  sat.Lit
 	hasTrue  bool
 
-	// Incremental-session state. theory is the persistent congruence engine
-	// shared by every theory check on this instance (registration
-	// accumulates; assertions are trail-undone). trichoDone marks how much
-	// of the atom vocabulary already has trichotomy clauses; defsDone marks
-	// how many of the owning session's ITE definitions this instance has
-	// asserted.
-	theory     *euf
-	trichoDone int
-	defsDone   int
-	// dead marks a prefix case refuted without using any suffix guard:
-	// the clause database — prefix, definitional constraints, theory-valid
-	// lemmas, retired guards — is unsatisfiable on its own, so no future
-	// suffix can revive the case and the session skips it outright.
-	dead bool
-	// store, when non-nil, is the owning session's shared lemma memory;
-	// lemmaOn flags which of its lemmas this instance has asserted.
-	store   *lemmaStore
-	lemmaOn []bool
+	// theory is the congruence engine shared by every theory check on this
+	// instance (registration accumulates; assertions are trail-undone).
+	theory *euf
+	// store is the owning check's lemma memory (see lemmaStore).
+	store *lemmaStore
 	// shared, when non-nil, is the cross-pair lemma pool (see LemmaPool).
 	// Its lemmas are keyed on canonical atom keys, so atomByKey indexes the
-	// vocabulary by key alongside atomVar's ID index; sharedOn flags which
-	// pool lemmas this instance has asserted.
+	// vocabulary by key alongside atomVar's ID index.
 	shared    *LemmaPool
 	atomByKey map[string]*fol.Term
-	sharedOn  []bool
-	// base is the atom set of this instance's prefix case, fixed at
-	// promotion; live, when non-nil, restricts which atoms the theory layer
-	// examines for the current check (see modelLits).
-	base map[uint32]bool
-	live map[uint32]bool
 }
 
 func newInstance() *instance {
@@ -158,13 +138,11 @@ func (in *instance) encode(t *fol.Term) sat.Lit {
 // addTrichotomy adds, for every numeric equality atom a = b in the
 // vocabulary, the valid clause (a=b) ∨ (a<b) ∨ (b<a). Without it, a model
 // asserting ¬(a=b) would give the arithmetic theory nothing to refute, since
-// the simplex cannot represent disequalities directly. It is incremental:
-// atoms already covered by an earlier call are skipped, so sessions call it
-// after each suffix encoding to cover only the new vocabulary.
+// the simplex cannot represent disequalities directly.
 func (in *instance) addTrichotomy() {
-	// The vocabulary may grow while we add clauses (the Lt atoms are new);
+	// The vocabulary grows while we add clauses (the Lt atoms are new);
 	// iterate by index.
-	for i := in.trichoDone; i < len(in.atoms); i++ {
+	for i := 0; i < len(in.atoms); i++ {
 		t := in.atoms[i]
 		if t.Kind != fol.KEq || t.Args[0].Sort != fol.SortNum {
 			continue
@@ -174,69 +152,41 @@ func (in *instance) addTrichotomy() {
 		lt2 := in.encode(fol.Lt(t.Args[1], t.Args[0]))
 		in.sat.AddClause(eq, lt1, lt2)
 	}
-	in.trichoDone = len(in.atoms)
 }
 
-// lemmaStore accumulates theory-refuted cores across every instance a
-// session creates. A blocked core is a theory-valid fact — ¬(l₁ ∧ … ∧ lₖ)
-// holds in every theory model, independent of which formula exposed it — so
-// any instance whose atom vocabulary covers a core may assert its blocking
-// clause up front and skip the model rounds that would rediscover the same
-// conflict. This is what survives the session's lazy promotion: the joint
-// first check's instances are thrown away, but the theory facts they paid
-// model rounds for replay into the persistent prefix instances.
+// lemmaStore accumulates the theory cores one CheckSat learns across the
+// instances of its cases. A blocked core is a theory-valid fact —
+// ¬(l₁ ∧ … ∧ lₖ) holds in every theory model, independent of which formula
+// exposed it — so a later case whose atom vocabulary covers a core asserts
+// its blocking clause up front and skips the model rounds that would
+// rediscover the same conflict.
+//
+// No core is ever recorded twice, so the store needs no dedupe: a core is
+// learned from a propositional model that contains it, an instance blocks
+// every core it learns or replays, and a later instance either replays a
+// stored core or lacks one of its atoms.
 type lemmaStore struct {
 	lemmas [][]theoryLit
-	seen   map[uint64]bool
 }
 
-// maxStoredLemmas bounds a session's lemma memory. Cores are tiny (they are
-// minimized), so this is generous; a session that somehow overflows it just
+// maxStoredLemmas bounds a check's lemma memory. Cores are tiny (they are
+// minimized), so this is generous; a check that somehow overflows it just
 // stops remembering, never misbehaves.
 const maxStoredLemmas = 512
 
-func newLemmaStore() *lemmaStore {
-	return &lemmaStore{seen: make(map[uint64]bool)}
-}
-
-// record remembers a freshly learned theory core, deduplicating by the
-// atoms' interned IDs and polarities.
+// record remembers a freshly learned theory core.
 func (ls *lemmaStore) record(core []theoryLit) {
-	if ls == nil || len(ls.lemmas) >= maxStoredLemmas {
-		return
+	if len(ls.lemmas) < maxStoredLemmas {
+		ls.lemmas = append(ls.lemmas, append([]theoryLit(nil), core...))
 	}
-	var key uint64 = 1469598103934665603 // FNV offset basis
-	for _, l := range core {
-		id := uint64(l.atom.ID()) << 1
-		if l.pos {
-			id |= 1
-		}
-		// Order-independent mix: minimization may emit the same core in a
-		// different literal order.
-		key += id * 1099511628211
-	}
-	if ls.seen[key] {
-		return
-	}
-	ls.seen[key] = true
-	ls.lemmas = append(ls.lemmas, append([]theoryLit(nil), core...))
 }
 
 // replayLemmas asserts every stored lemma whose atoms are all registered in
-// this instance's vocabulary and not yet asserted here. Lemmas touching
-// unregistered atoms are skipped — asserting them would grow the vocabulary
-// and force models to cover atoms the formula never mentions.
+// this instance's vocabulary. Lemmas touching unregistered atoms are skipped
+// — asserting them would grow the vocabulary and force models to cover
+// atoms the formula never mentions.
 func (in *instance) replayLemmas() {
-	if in.store == nil {
-		return
-	}
-	for i, core := range in.store.lemmas {
-		if i < len(in.lemmaOn) && in.lemmaOn[i] {
-			continue
-		}
-		for len(in.lemmaOn) <= i {
-			in.lemmaOn = append(in.lemmaOn, false)
-		}
+	for _, core := range in.store.lemmas {
 		covered := true
 		for _, l := range core {
 			if _, ok := in.atomVar[l.atom.ID()]; !ok {
@@ -246,28 +196,18 @@ func (in *instance) replayLemmas() {
 		}
 		if covered {
 			in.block(core)
-			in.lemmaOn[i] = true
 		}
 	}
 }
 
 // replayShared asserts every pool lemma whose atoms are all registered in
-// this instance's vocabulary (matched by canonical key) and not yet asserted
-// here. Like replayLemmas, lemmas touching unregistered atoms are skipped —
-// they would grow the vocabulary past what the formula mentions — and may be
-// picked up by a later call once a suffix registers the missing atoms.
+// this instance's vocabulary, matched by canonical key. Like replayLemmas,
+// it skips lemmas touching unregistered atoms.
 func (in *instance) replayShared() {
 	if in.shared == nil {
 		return
 	}
-	lemmas := in.shared.view()
-	for i, lits := range lemmas {
-		if i < len(in.sharedOn) && in.sharedOn[i] {
-			continue
-		}
-		for len(in.sharedOn) <= i {
-			in.sharedOn = append(in.sharedOn, false)
-		}
+	for _, lits := range in.shared.view() {
 		core := make([]theoryLit, len(lits))
 		covered := true
 		for j, l := range lits {
@@ -280,50 +220,14 @@ func (in *instance) replayShared() {
 		}
 		if covered {
 			in.block(core)
-			in.sharedOn[i] = true
-		}
-	}
-}
-
-// walkAtoms collects the theory atoms of a boolean term into dst, walking
-// the interned DAG with a visited set so shared sub-formulas cost one visit.
-// It mirrors encode's atom classification exactly: every atom encode would
-// register from the term is collected here.
-func walkAtoms(t *fol.Term, visited, dst map[uint32]bool) {
-	if visited[t.ID()] {
-		return
-	}
-	visited[t.ID()] = true
-	switch t.Kind {
-	case fol.KTrue, fol.KFalse:
-	case fol.KNot:
-		walkAtoms(t.Args[0], visited, dst)
-	case fol.KEq, fol.KLe, fol.KLt, fol.KVar, fol.KApp:
-		dst[t.ID()] = true
-	default:
-		for _, a := range t.Args {
-			walkAtoms(a, visited, dst)
 		}
 	}
 }
 
 // modelLits extracts the theory literals implied by the current SAT model.
-//
-// When live is set, atoms outside it are skipped: a retired suffix's atoms
-// still receive SAT values, but the current check only decides
-// prefix ∧ current-suffix, and a theory model of the literals that formula
-// mentions always extends to the rest — retired guards are satisfiable by
-// construction and stale ITE definitions only constrain their own fresh
-// variables. Filtering is what keeps a long-lived session's model rounds
-// proportional to the current check instead of to everything it ever saw:
-// blocking clauses stay over live literals, so one conflict prunes every
-// propositional model that differs only in stale atoms.
 func (in *instance) modelLits() []theoryLit {
 	out := make([]theoryLit, 0, len(in.atoms))
 	for i, t := range in.atoms {
-		if in.live != nil && !in.live[t.ID()] {
-			continue
-		}
 		v := in.atomVar[t.ID()]
 		out = append(out, theoryLit{atom: t, pos: in.sat.Value(v), vars: in.atomVars[i]})
 	}

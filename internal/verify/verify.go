@@ -40,17 +40,18 @@ type Stats struct {
 	CoreChecks      int64 `json:"core_checks"`       // theory checks spent minimizing cores
 	ObligationHits  int   `json:"obligation_hits"`   // validity obligations answered from the cache
 	ObligationMiss  int   `json:"obligation_misses"` // validity obligations sent to the solver
-	SolverSessions  int   `json:"solver_sessions"`   // incremental solver sessions opened
-	PrefixEncodes   int   `json:"prefix_encodes"`    // prefix cases encoded by session pushes
-	SuffixChecks    int   `json:"suffix_checks"`     // obligations answered inside a session
-	PrefixReuse     int   `json:"prefix_reuse"`      // suffix checks that reused an encoded prefix
 	StoreHits       int   `json:"store_hits"`        // obligations answered from the durable store
 	StoreMisses     int   `json:"store_misses"`      // durable-store lookups that missed
-	SessionEvicts   int   `json:"session_evictions"` // sessions evicted from the LRU table (incl. rotation drains)
 	RefuteSearches  int   `json:"refute_searches"`   // bounded refutation searches run after failed proofs
 	RefuteRounds    int   `json:"refute_rounds"`     // candidate databases generated across those searches
 	WitnessHits     int   `json:"witness_hits"`      // witnesses answered (and re-confirmed) from the durable store
 	ExhaustedHits   int   `json:"exhausted_hits"`    // searches answered by a stored exhausted-search record
+
+	// SuffixChecks and PrefixReuse are always zero: every obligation is one
+	// solver check with nothing to reuse. They remain, without JSON keys,
+	// only because the benchmark's smt.prefix_reuse_share still reads them.
+	SuffixChecks int `json:"-"`
+	PrefixReuse  int `json:"-"`
 }
 
 // ObligationCache memoizes validity outcomes across Verifiers. Keys are
@@ -149,12 +150,6 @@ type Config struct {
 	// obligation-cache keys agree. When nil the Verifier creates a private
 	// interner.
 	Interner *fol.Interner
-	// DisableIncremental solves every obligation with a fresh one-shot
-	// CheckSat instead of reusing assumption-guarded solver sessions per
-	// shared prefix. Verdicts are identical either way (the incremental
-	// parity suite asserts it); the switch exists for that comparison, for
-	// the incremental benchmark baseline, and as an escape hatch.
-	DisableIncremental bool
 	// RefuteBudget enables the bounded refutation pass: when a proof fails
 	// for a reason other than timeout or cancellation, Refute searches up
 	// to this many small concrete databases for one distinguishing the
@@ -200,7 +195,6 @@ type Verifier struct {
 	store        DurableStore
 	in           *fol.Interner
 	stats        Stats
-	incremental  bool
 	refuteBudget int
 	witnesses    WitnessStore
 	digest       string
@@ -213,25 +207,6 @@ type Verifier struct {
 	// honors the same wall-clock and cancellation limits the proof did.
 	deadline time.Time
 	ctx      context.Context
-	// sessions maps an obligation prefix (interned, so pointer identity is
-	// structural identity) to the live solver session holding its encoding.
-	// VeriVec candidate loops and the agg-matching search hit the same
-	// prefix over and over; the session lets each later obligation encode
-	// only its suffix. The table is an LRU bounded both by entry count and
-	// by retained memory (Session.Cost, in atom units): sessList orders
-	// entries by last prefix reuse, and sessCost tracks the live total.
-	sessions map[*fol.Term]*sessionEntry
-	sessHead *sessionEntry // most recently used
-	sessTail *sessionEntry // least recently used
-	sessCost int
-}
-
-// sessionEntry is one node of the session LRU's intrusive list.
-type sessionEntry struct {
-	prefix     *fol.Term
-	se         *smt.Session
-	cost       int
-	prev, next *sessionEntry
 }
 
 // New returns a Verifier with a fresh solver and symbol namespace.
@@ -264,7 +239,6 @@ func NewWithConfig(cfg Config) *Verifier {
 		cache:         cfg.Cache,
 		store:         cfg.Store,
 		in:            in,
-		incremental:   !cfg.DisableIncremental,
 		refuteBudget:  cfg.RefuteBudget,
 		witnesses:     cfg.Witnesses,
 		digest:        cfg.ConstraintDigest,
@@ -281,10 +255,6 @@ func (v *Verifier) Stats() Stats {
 	s.ModelRounds = ss.ModelRounds
 	s.TheoryConflicts = ss.TheoryConfls
 	s.CoreChecks = ss.CoreChecks
-	s.SolverSessions = ss.Sessions
-	s.PrefixEncodes = ss.PrefixEncodes
-	s.SuffixChecks = ss.SuffixChecks
-	s.PrefixReuse = ss.PrefixReuse
 	return s
 }
 
@@ -384,10 +354,9 @@ func (v *Verifier) Check(q1, q2 plan.Node) Outcome {
 		return Outcome{}
 	}
 	out := Outcome{Cardinal: true}
-	// Split the full-equivalence obligation (Lemma 1) into its COND ∧ ASSIGN
-	// prefix and identity-map suffix so it can share a solver session with
-	// other obligations over the same QPSR context; the length guard mirrors
-	// FullEquivalenceObligation's ⊥ case.
+	// The full-equivalence obligation (Lemma 1): COND ∧ ASSIGN implies the
+	// identity map; the length guard mirrors FullEquivalenceObligation's ⊥
+	// case.
 	if q1.Arity() == q2.Arity() && len(qpsr.Cols1) == len(qpsr.Cols2) &&
 		v.validUnder(fol.And(qpsr.Cond, qpsr.Assign), symbolic.IdentityEq(qpsr.Cols1, qpsr.Cols2)) {
 		out.Full = true
@@ -403,12 +372,9 @@ func (v *Verifier) Check(q1, q2 plan.Node) Outcome {
 // but is never cached, so a cache hit is always deterministic and
 // independent of when or where the entry was computed.
 //
-// The prefix/suffix split is what makes obligations incremental: every
-// call site factors out the part of its implication shared with sibling
-// obligations (a candidate bijection's COND ∧ ASSIGN, an Agg's group
-// context) so that they all solve inside one session, re-encoding only
-// the suffix. The cache is consulted before the solver either way, so a
-// hit never opens or touches a session.
+// Cache and store keys derive from the implication prefix → suffix; the
+// solver checks prefix ∧ ¬suffix, the same question without interning an
+// obligation-sized negation.
 func (v *Verifier) validUnder(prefix, suffix *fol.Term) bool {
 	if v.cache == nil && v.store == nil {
 		return v.solveObligation(prefix, suffix) == smt.Unsat
@@ -467,115 +433,10 @@ func (v *Verifier) digestKey(key string) string {
 	return "c" + v.digest + ":" + key
 }
 
-// solveObligation decides prefix → suffix with the solver: incrementally,
-// by checking ¬suffix under the prefix's session (¬(A→B) ≡ A ∧ ¬B), or as
-// a one-shot check of the negated implication when incremental solving is
-// disabled. Both paths answer the exact same question; the parity suite
-// holds them to it.
+// solveObligation decides prefix → suffix with one solver check of its
+// negation, prefix ∧ ¬suffix.
 func (v *Verifier) solveObligation(prefix, suffix *fol.Term) smt.Result {
-	if !v.incremental {
-		return v.solver.CheckSat(fol.Not(fol.Implies(prefix, suffix)))
-	}
-	return v.sessionFor(v.in.Intern(prefix)).CheckSatUnder(fol.Not(suffix))
-}
-
-// maxLiveSessions bounds the session table by entry count, and
-// maxSessionCost bounds it by retained memory (Session.Cost, in atom
-// units — the encoded vocabulary its CNF, SAT, and congruence state pin).
-// VeriVec candidate loops reuse a handful of prefixes heavily; eviction is
-// LRU on last prefix reuse, so the prefixes currently driving a search stay
-// encoded while one-shot prefixes age out instead of forcing a wholesale
-// reset that would throw the hot encodings away with the cold.
-const (
-	maxLiveSessions = 32
-	maxSessionCost  = 1 << 14
-)
-
-// sessionFor returns the live session holding the prefix's encoding,
-// opening one (and paying the prefix encode) on first sight. If the
-// verifier's interner epoch has been retired (the engine rotated mid-pair),
-// the whole table is drained first: its sessions' encodings are keyed on
-// retired-epoch IDs and would otherwise pin the retired DAG for the
-// verifier's lifetime.
-func (v *Verifier) sessionFor(prefix *fol.Term) *smt.Session {
-	if v.in.Retired() && len(v.sessions) > 0 {
-		v.stats.SessionEvicts += len(v.sessions)
-		v.sessions = nil
-		v.sessHead, v.sessTail, v.sessCost = nil, nil, 0
-	}
-	if e, ok := v.sessions[prefix]; ok {
-		v.sessCost += e.se.Cost() - e.cost
-		e.cost = e.se.Cost()
-		v.sessTouch(e)
-		v.sessEvict(e)
-		return e.se
-	}
-	if v.sessions == nil {
-		v.sessions = make(map[*fol.Term]*sessionEntry)
-	}
-	se := v.solver.NewSession()
-	se.Push(prefix)
-	e := &sessionEntry{prefix: prefix, se: se, cost: se.Cost()}
-	v.sessions[prefix] = e
-	v.sessCost += e.cost
-	// Push to front as most recent.
-	e.next = v.sessHead
-	if v.sessHead != nil {
-		v.sessHead.prev = e
-	}
-	v.sessHead = e
-	if v.sessTail == nil {
-		v.sessTail = e
-	}
-	v.sessEvict(e)
-	return se
-}
-
-// sessTouch moves an entry to the front of the LRU list.
-func (v *Verifier) sessTouch(e *sessionEntry) {
-	if v.sessHead == e {
-		return
-	}
-	if e.prev != nil {
-		e.prev.next = e.next
-	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	}
-	if v.sessTail == e {
-		v.sessTail = e.prev
-	}
-	e.prev = nil
-	e.next = v.sessHead
-	if v.sessHead != nil {
-		v.sessHead.prev = e
-	}
-	v.sessHead = e
-	if v.sessTail == nil {
-		v.sessTail = e
-	}
-}
-
-// sessEvict drops least-recently-used sessions until both bounds hold,
-// never evicting keep (the entry serving the current obligation).
-func (v *Verifier) sessEvict(keep *sessionEntry) {
-	for v.sessTail != nil &&
-		(len(v.sessions) > maxLiveSessions || v.sessCost > maxSessionCost) {
-		e := v.sessTail
-		if e == keep {
-			return // everything else is gone; the live entry stays
-		}
-		v.sessTail = e.prev
-		if v.sessTail != nil {
-			v.sessTail.next = nil
-		} else {
-			v.sessHead = nil
-		}
-		e.prev, e.next = nil, nil
-		delete(v.sessions, e.prefix)
-		v.sessCost -= e.cost
-		v.stats.SessionEvicts++
-	}
+	return v.solver.CheckSat(fol.And(prefix, fol.Not(suffix)))
 }
 
 // obligationKey derives the cache key for an obligation interned in the
@@ -796,11 +657,8 @@ func (v *Verifier) veriSPJ(s1, s2 *plan.SPJ) *symbolic.QPSR {
 		if err != nil {
 			return false
 		}
-		// The predicates must select corresponding tuples identically. The
-		// candidate's COND ∧ ASSIGN context is the prefix — candidates over
-		// the same sub-QPSRs share it, so their session reuses its encoding —
-		// and the predicate-specific part rides in the suffix
-		// (A ∧ B → C ≡ A → (B → C)).
+		// The predicates must select corresponding tuples identically under
+		// the candidate's COND ∧ ASSIGN context (A ∧ B → C ≡ A → (B → C)).
 		if !v.validUnder(fol.And(cond, assign),
 			fol.Implies(fol.And(a1, a2), fol.Iff(p1.IsTrue(), p2.IsTrue()))) {
 			return false
@@ -881,8 +739,6 @@ func (v *Verifier) veriAgg(a1, a2 *plan.Agg) *symbolic.QPSR {
 	}
 	g1p, g2p := primeTuple(g1), primeTuple(g2)
 	basep := prime(base)
-	// Both directions share the doubled-tuple context as their session
-	// prefix; the converse direction re-encodes only its implication.
 	ctx := fol.And(base, basep)
 	if !v.validUnder(ctx, fol.Implies(symbolic.GroupEq(g1, g1p), symbolic.GroupEq(g2, g2p))) {
 		return nil
@@ -944,9 +800,6 @@ func (v *Verifier) veriAgg(a1, a2 *plan.Agg) *symbolic.QPSR {
 			if ac == nil || bc == nil {
 				continue
 			}
-			// base is the stable prefix across the whole matching search;
-			// argAssigns grows as later aggregates encode, so it belongs to
-			// the suffix.
 			same := fol.Implies(fol.And(argAssigns...),
 				fol.And(fol.Iff(ac.Null, bc.Null),
 					fol.Implies(fol.Not(ac.Null), fol.Eq(ac.Val, bc.Val))))
@@ -1081,9 +934,6 @@ func (s Stats) String() string {
 		s.VeriCardCalls, s.Candidates, s.SolverQueries, s.ModelRounds, s.TheoryConflicts, s.CoreChecks)
 	if s.ObligationHits > 0 || s.ObligationMiss > 0 {
 		out += fmt.Sprintf(" cache-hits=%d cache-misses=%d", s.ObligationHits, s.ObligationMiss)
-	}
-	if s.SolverSessions > 0 {
-		out += fmt.Sprintf(" sessions=%d prefix-reuse=%d", s.SolverSessions, s.PrefixReuse)
 	}
 	return out
 }
