@@ -12,8 +12,8 @@
 # witnesses standalone and routed, and a replication stage where a
 # SIGKILLed shard's verdicts survive on a tailing peer that answers them
 # warm from its replicated store; then perfbench's vet and tests, and a
-# verdict gate: a one-second calcite-cold benchmark run must reproduce a
-# pinned verdict digest.
+# verdict gate: one-second calcite-cold and restart-warm benchmark runs
+# must each reproduce a pinned verdict digest.
 set -eux
 
 # Term-construction lint: fol.Term values must be built through the fol
@@ -28,8 +28,8 @@ fi
 
 # Solver-construction lint: inside internal/verify, a bare solver must
 # only ever be built in verify.go (the Verifier's constructor wires the
-# interner, deadline, context and lemma pool into it); any other non-test
-# file calling smt.New() would mint a solver without them.
+# interner, deadline and context into it); any other non-test file
+# calling smt.New() would mint a solver without them.
 if grep -rn 'smt\.New()' internal/verify --include='*.go' \
     --exclude='*_test.go' | grep -v '^internal/verify/verify\.go:'; then
     echo "ci: smt.New() outside verify.go in internal/verify" >&2
@@ -81,7 +81,7 @@ go test -race -run 'TestDifferentialVerdictParity|TestPipelineFuzzDifferential|T
 # store warmed by one version stays warm for the next. Also part of the
 # -race run above; pinned by name for the same reason.
 go test -race -run 'TestForcedRotationParity|TestRotationConcurrentWithWorkers|TestWarmRestartParity|TestStoreVerdictWitnessRecordsPinned' ./internal/engine/
-go test -race -run 'TestFaultTornAppend|TestChecksumCorruptionLosesNeverFabricates' ./internal/store/
+go test -race -run 'TestFaultTornAppend|TestChecksumCorruptionLosesNeverFabricates|TestCloseRacesAppendsAndFlush' ./internal/store/
 
 # Refutation soundness: every Refuted witness must replay, no Equivalent
 # may be refutable by the same bounded search, and witnesses must survive
@@ -628,15 +628,21 @@ grep -q 'spes-serve: drained' "$tmp/repl-a.log"
 (cd perfbench && go vet ./... && go test ./...)
 
 # --- verdict gate ----------------------------------------------------------
-# One second of the benchmark's calcite-cold workload must reproduce the
-# pinned verdict digest. perfbench checks every verdict against its
-# reference executor and exits nonzero on any CHECK FAILED; the digest pins
-# the verdicts themselves, so any verdict change fails here until this
-# value is updated on purpose (and the update recorded in CHANGES.md). Only
-# verdicts are gated, never time: the host's speed varies too much.
-if ! bash perfbench/run.sh --workload calcite-cold --seconds 1 --trace 0 >"$tmp/verdict-gate.txt" ||
-    ! grep -q 'verdict digest 6ef731772b83670f' "$tmp/verdict-gate.txt"; then
-    cat "$tmp/verdict-gate.txt"
-    echo "ci: calcite-cold verdict digest is not 6ef731772b83670f" >&2
-    exit 1
-fi
+# One second of the benchmark's calcite-cold workload, and one of
+# restart-warm (the only workload that runs engines over a reopened store),
+# must each reproduce a pinned verdict digest. perfbench checks every
+# verdict against its reference executor and exits nonzero on any CHECK
+# FAILED; the digest pins the verdicts themselves, so any verdict change
+# fails here until the value is updated on purpose (and the update
+# recorded in CHANGES.md). Only verdicts are gated, never time: the host's
+# speed varies too much.
+verdict_gate() {
+    if ! bash perfbench/run.sh --workload "$1" --seconds 1 --trace 0 >"$tmp/verdict-gate-$1.txt" ||
+        ! grep -q "verdict digest $2" "$tmp/verdict-gate-$1.txt"; then
+        cat "$tmp/verdict-gate-$1.txt"
+        echo "ci: $1 verdict digest is not $2" >&2
+        exit 1
+    fi
+}
+verdict_gate calcite-cold 6ef731772b83670f
+verdict_gate restart-warm 3a07881e3819c92c

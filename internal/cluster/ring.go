@@ -8,7 +8,7 @@
 // the shard's warm state helps. The plan fingerprint is the engine's dedupe
 // key (PR 1), so recurrences of a hot pair, and the obligations they share,
 // always land on the same shard: each shard's obligation cache, term DAG,
-// and lemma pool stay coherent on its slice of the workload instead of
+// and durable store stay coherent on its slice of the workload instead of
 // diluting hit rates N ways.
 //
 // Why failover is sound: verdicts are deterministic functions of the two

@@ -42,7 +42,6 @@ import (
 	"spes/internal/plan"
 	"spes/internal/refute"
 	"spes/internal/schema"
-	"spes/internal/smt"
 	"spes/internal/store"
 	"spes/internal/verify"
 )
@@ -130,17 +129,14 @@ type Options struct {
 	// the process lifetime, as before).
 	TermNodeHighWater int
 	// Store, when non-nil, is the durable verdict store: obligations that
-	// miss the in-memory cache are answered from it, definite verdicts are
-	// appended write-behind, and (with ShareLemmas) theory lemmas persist
-	// through it, so restarts and new replicas start warm.
+	// miss the in-memory cache are answered from it, and definite verdicts
+	// and refutation witnesses are appended write-behind, so restarts and
+	// new replicas start warm.
 	Store *store.Store
-	// ShareLemmas pools theory lemmas across pairs (and, with Store set,
-	// across processes). Replayed lemmas can only prune solver work the
-	// theory would redo — see smt.LemmaPool — but because they may decide
-	// obligations that would otherwise exhaust their budget as Unknown,
-	// outcomes may improve relative to a cold run; the warm bench and the
-	// server enable this, plain VerifyBatch keeps it off by default so
-	// batch results stay independent of pair order and worker count.
+	// ShareLemmas has no effect: a theory lemma lives only as long as the
+	// solver check that learned it, so verdicts depend on the plans and the
+	// constraint digest alone. The field remains only because the
+	// benchmark's restart-warm workload still sets it.
 	ShareLemmas bool
 	// ConstraintDigest is the catalog's integrity-constraint digest
 	// (schema.Catalog.ConstraintDigest). It namespaces every key the
@@ -347,12 +343,6 @@ type Shared struct {
 	// once. rotMu serializes the swap itself.
 	in    atomic.Pointer[fol.Interner]
 	rotMu sync.Mutex
-
-	// lemmas, when non-nil, is the cross-pair theory-lemma pool handed to
-	// every worker's solver (see Options.ShareLemmas). Seeded from the
-	// durable store at construction; newly learned lemmas flow back
-	// through the pool's sink.
-	lemmas *smt.LemmaPool
 }
 
 // interner returns the engine's current-epoch interner, delegating to the
@@ -377,13 +367,12 @@ func (s *Shared) root() *Shared {
 // configured high-water mark. It runs on the root Shared after each
 // recorded pair — between units of work, never inside one — so a rotation
 // can only be observed by a verifier at construction time: in-flight
-// verifiers keep the interner they captured (retired interners keep
-// working; retirement is a drain signal, not a kill switch) and finish
-// their pair soundly, while every pair that starts afterwards builds
-// through the fresh epoch. Obligation-cache entries from the retired epoch
-// carry its tag in their keys, so they can never answer a new-epoch lookup
-// and simply age out of the LRU; the durable store is keyed canonically
-// and is untouched by rotation.
+// verifiers keep the interner they captured (an old epoch's interner keeps
+// working) and finish their pair soundly, while every pair that starts
+// afterwards builds through the fresh epoch. Obligation-cache entries from
+// an old epoch carry its tag in their keys, so they can never answer a
+// new-epoch lookup and simply age out of the LRU; the durable store is
+// keyed canonically and is untouched by rotation.
 func (s *Shared) maybeRotate() {
 	hw := s.opts.TermNodeHighWater
 	if hw <= 0 {
@@ -399,7 +388,6 @@ func (s *Shared) maybeRotate() {
 		return // another worker rotated while we waited
 	}
 	s.in.Store(fol.NewInterner())
-	cur.Retire()
 	s.rotations.Add(1)
 }
 
@@ -467,33 +455,10 @@ func (s *Shared) Snapshot() StatsSnapshot {
 	return snap
 }
 
-// NewShared builds batch state from options. With a Store configured it
-// loads the persisted lemmas into the shared pool (when ShareLemmas is on)
-// before wiring the pool's sink back to the store, so loaded lemmas are
-// not echoed into the log again.
+// NewShared builds batch state from options.
 func NewShared(opts Options) *Shared {
 	s := &Shared{opts: opts}
 	s.in.Store(fol.NewInterner())
-	if opts.ShareLemmas {
-		s.lemmas = smt.NewLemmaPool()
-		if opts.Store != nil {
-			for _, lemma := range opts.Store.Lemmas() {
-				lits := make([]smt.LemmaLit, len(lemma))
-				for i, l := range lemma {
-					lits[i] = smt.LemmaLit{AtomKey: l.AtomKey, Pos: l.Pos}
-				}
-				s.lemmas.Add(lits)
-			}
-			st := opts.Store
-			s.lemmas.SetSink(func(lits []smt.LemmaLit) {
-				out := make([]store.LemmaLit, len(lits))
-				for i, l := range lits {
-					out[i] = store.LemmaLit{AtomKey: l.AtomKey, Pos: l.Pos}
-				}
-				st.AppendLemma(out)
-			})
-		}
-	}
 	if !opts.DisableCaching {
 		if opts.CacheSize >= 0 {
 			s.cache = NewObligationCache(opts.CacheSize)
@@ -667,7 +632,6 @@ func (w *Worker) check(ctx context.Context, q1, q2 plan.Node) Result {
 	cfg := verify.Config{
 		MaxCandidates:    w.shared.opts.MaxCandidates,
 		Interner:         w.shared.interner(),
-		Lemmas:           w.shared.root().lemmas,
 		RefuteBudget:     w.shared.opts.RefuteBudget,
 		ConstraintDigest: w.shared.opts.ConstraintDigest,
 	}

@@ -8,7 +8,6 @@ import (
 	"encoding/hex"
 	"os"
 	"path/filepath"
-	"sync/atomic"
 	"testing"
 
 	"spes/internal/corpus"
@@ -100,42 +99,17 @@ func TestRotationBoundsEngineTermNodes(t *testing.T) {
 }
 
 // TestRotationConcurrentWithWorkers runs rotation under worker concurrency
-// with the race detector watching the interner handoff. A sampler
-// goroutine continuously loads the engine's current interner and asserts
-// the publication ordering maybeRotate guarantees: the replacement epoch
-// is installed before the old one is retired, so a load that observes a
-// retired interner must already see a different current one on reload —
-// workers can never be handed a retired epoch as "current".
+// with the race detector watching the interner handoff: the engine must
+// open at least two epochs and keep every verdict of the unbounded run.
 func TestRotationConcurrentWithWorkers(t *testing.T) {
 	cat := corpus.Catalog()
 	pairs := calcitePairs()
 	base, _, hw := rotationHighWater(t, pairs)
 
 	eng := NewEngine(cat, Options{Workers: 8, TermNodeHighWater: hw})
-	stop := make(chan struct{})
-	var staleHandouts atomic.Int64
-	go func() {
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			in := eng.shared.interner()
-			if in.Retired() && eng.shared.interner() == in {
-				staleHandouts.Add(1)
-			}
-		}
-	}()
-
 	var results []Result
 	for round := 0; round < 2; round++ {
 		results, _ = eng.VerifyBatch(context.Background(), pairs, 8)
-	}
-	close(stop)
-
-	if n := staleHandouts.Load(); n != 0 {
-		t.Errorf("a retired interner stayed current %d times; rotation must install the new epoch before retiring the old", n)
 	}
 	st := eng.Stats()
 	if st.InternerEpochs < 2 {
@@ -162,7 +136,7 @@ func TestWarmRestartParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold := NewEngine(cat, Options{Workers: 4, Store: st1, ShareLemmas: true})
+	cold := NewEngine(cat, Options{Workers: 4, Store: st1})
 	coldRes, _ := cold.VerifyBatch(context.Background(), pairs, 4)
 	if err := st1.Close(); err != nil {
 		t.Fatal(err)
@@ -179,7 +153,7 @@ func TestWarmRestartParity(t *testing.T) {
 	if got, want := st2.Snapshot().Records, st1.Snapshot().Records; got != want {
 		t.Fatalf("reopen lost records: %d on disk, %d written", got, want)
 	}
-	warm := NewEngine(cat, Options{Workers: 4, Store: st2, ShareLemmas: true})
+	warm := NewEngine(cat, Options{Workers: 4, Store: st2})
 	warmRes, warmStats := warm.VerifyBatch(context.Background(), pairs, 4)
 	if warmStats.StoreHits == 0 {
 		t.Errorf("warm restart hit the store 0 times: %+v", warmStats)
@@ -197,8 +171,8 @@ func TestWarmRestartParity(t *testing.T) {
 }
 
 // coldStoreLog runs pairs once through a cold single-worker engine with
-// shared lemmas and refutation budget 64 over a fresh store, and returns
-// the bytes of the log it wrote.
+// refutation budget 64 over a fresh store, and returns the bytes of the
+// log it wrote.
 func coldStoreLog(t *testing.T, pairs []Pair) []byte {
 	t.Helper()
 	dir := t.TempDir()
@@ -206,7 +180,7 @@ func coldStoreLog(t *testing.T, pairs []Pair) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := NewEngine(corpus.Catalog(), Options{Workers: 1, Store: st, ShareLemmas: true, RefuteBudget: 64})
+	eng := NewEngine(corpus.Catalog(), Options{Workers: 1, Store: st, RefuteBudget: 64})
 	eng.VerifyBatch(context.Background(), pairs, 1)
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
@@ -220,8 +194,7 @@ func coldStoreLog(t *testing.T, pairs []Pair) []byte {
 
 // TestStoreLogDeterministic pins that the durable store's bytes are a
 // deterministic function of the pairs: two cold single-worker runs with
-// shared lemmas and refutation write byte-identical logs — verdict,
-// witness and lemma records, down to the literal order inside each lemma.
+// refutation write byte-identical logs of verdict and witness records.
 func TestStoreLogDeterministic(t *testing.T) {
 	pairs := calcitePairs()
 	first, second := coldStoreLog(t, pairs), coldStoreLog(t, pairs)

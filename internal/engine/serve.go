@@ -123,7 +123,7 @@ func (e *Engine) batchOverlay(workers int) *Shared {
 	s := e.shared
 	// No interner copy: the overlay delegates interner() to its parent, so
 	// an epoch rotation during the batch is visible to overlay workers too.
-	o := &Shared{opts: s.opts, parent: s, lemmas: s.lemmas}
+	o := &Shared{opts: s.opts, parent: s}
 	if workers > 0 {
 		o.opts.Workers = workers
 	}

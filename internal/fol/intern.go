@@ -42,7 +42,6 @@ type Interner struct {
 	buckets map[uint64][]*Term
 	n       uint32
 	tag     uint64
-	retired atomic.Bool
 }
 
 // internerTags hands out process-unique tags. Tags (not interner pointer
@@ -66,17 +65,6 @@ func NewInterner() *Interner {
 // by a different interner (unlike the interner's address, which the garbage
 // collector may reuse).
 func (in *Interner) Tag() uint64 { return in.tag }
-
-// Retire marks this interner as belonging to a closed epoch. Retirement is
-// advisory: the interner keeps working — in-flight verifiers that captured it
-// finish their pair on it soundly — but long-lived holders may poll Retired
-// and drop state keyed on its IDs before the next unit of work, so a
-// retired epoch's DAG becomes unreachable and is collected. Retiring is
-// idempotent and safe concurrently with interning.
-func (in *Interner) Retire() { in.retired.Store(true) }
-
-// Retired reports whether Retire has been called.
-func (in *Interner) Retired() bool { return in.retired.Load() }
 
 // Len returns the number of distinct term nodes interned, including the two
 // singletons. It is also the exclusive upper bound of issued IDs, so

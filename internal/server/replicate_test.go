@@ -12,7 +12,6 @@ import (
 
 	"spes/internal/corpus"
 	"spes/internal/fault"
-	"spes/internal/store"
 )
 
 // startReplica builds a server tailing the given origins and registers its
@@ -172,11 +171,6 @@ func TestReplicationByteParity(t *testing.T) {
 			origin.Store().AppendVerdict(fmt.Sprintf("parity-v-%04d", i), i%2 == 0)
 		case 1:
 			origin.Store().AppendWitness(fmt.Sprintf("parity-w-%04d", i), []byte(fmt.Sprintf("witness-bytes-%d", i)))
-		case 2:
-			origin.Store().AppendLemma([]store.LemmaLit{
-				{AtomKey: fmt.Sprintf("atom-%d", i), Pos: true},
-				{AtomKey: fmt.Sprintf("atom-%d", i+1), Pos: false},
-			})
 		}
 	}
 	origin.Store().Flush()

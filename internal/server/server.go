@@ -74,7 +74,7 @@ type Config struct {
 	// (0 = engine.DefaultWatchdogGrace).
 	WatchdogGrace time.Duration
 	// StorePath, when non-empty, is a directory for the durable verdict
-	// store: definite verdicts and theory lemmas persist there, so a
+	// store: definite verdicts and refutation witnesses persist there, so a
 	// restarted server (or a new replica pointed at the same directory)
 	// starts warm instead of stone cold. The server owns the store and
 	// closes it on Shutdown.
@@ -212,9 +212,6 @@ func New(cfg Config) (*Server, error) {
 			return nil, err
 		}
 		opts.Store = st
-		// Cross-pair lemma sharing rides with durability: a server's whole
-		// point is compounding warm state across requests.
-		opts.ShareLemmas = true
 	}
 	eng := engine.NewEngine(cfg.Catalog, opts)
 	baseCtx, cancel := context.WithCancel(context.Background())
@@ -278,7 +275,7 @@ func (s *Server) registerMetrics() {
 		func() float64 { return s.Stats().ObligationHitRate() })
 	if st := s.store; st != nil {
 		r.NewIntFunc("spes_store_records",
-			"Live records (verdicts plus lemmas) indexed in the durable store.",
+			"Records in the durable store's log: those scanned at open plus those appended since.",
 			func() int64 { return st.Snapshot().Records })
 		r.NewIntFunc("spes_store_bytes",
 			"Bytes in the durable store's append-only log.",

@@ -325,6 +325,18 @@ func TestSolverAgreesWithAndWithoutSplitting(t *testing.T) {
 	}
 }
 
+// checkOne solves a single already-lifted case without splitting it, on
+// the instance machinery CheckSat uses.
+func (s *Solver) checkOne(f *fol.Term) Result {
+	switch f.Kind {
+	case fol.KTrue:
+		return Sat
+	case fol.KFalse:
+		return Unsat
+	}
+	return s.run(s.newCaseInstance(s.own(f), new(lemmaStore)))
+}
+
 // TestTheoryCheckComponents: variable-disjoint inconsistencies are found no
 // matter which component they hide in.
 func TestTheoryCheckComponents(t *testing.T) {

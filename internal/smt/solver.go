@@ -84,14 +84,6 @@ type Solver struct {
 	// A formula from any other interner is copied in structurally, which
 	// cannot change a verdict.
 	Interner *fol.Interner
-	// SharedLemmas, when non-nil, is a cross-pair (and, through its sink,
-	// cross-process) theory-lemma pool: every blocked core this solver
-	// learns is admitted to it, and every instance the solver builds
-	// replays whatever pooled lemmas its vocabulary covers. Pool lemmas are
-	// keyed on canonical atom keys, so they survive interner rotation and
-	// round-trip through the durable store. See LemmaPool for the
-	// soundness argument.
-	SharedLemmas *LemmaPool
 
 	Stats Stats
 
@@ -249,33 +241,19 @@ func replaceConjunct(f, old, repl *fol.Term) *fol.Term {
 	return fol.And(args...)
 }
 
-// checkOne solves a single already-lifted case without splitting it, on
-// the instance machinery CheckSat uses.
-func (s *Solver) checkOne(f *fol.Term) Result {
-	switch f.Kind {
-	case fol.KTrue:
-		return Sat
-	case fol.KFalse:
-		return Unsat
-	}
-	return s.run(s.newCaseInstance(s.own(f), new(lemmaStore)))
-}
-
 // newCaseInstance builds the per-case solver state: a CDCL instance wired
 // to the solver's budgets and abort hook, a congruence engine, the encoded
-// case with its trichotomy clauses, and every pooled and stored lemma the
-// case's vocabulary covers. Cores the instance learns are recorded in
-// store for the check's later cases.
+// case with its trichotomy clauses, and every stored lemma the case's
+// vocabulary covers. Cores the instance learns are recorded in store for
+// the check's later cases.
 func (s *Solver) newCaseInstance(c *fol.Term, store *lemmaStore) *instance {
 	in := newInstance()
 	in.sat.MaxConflicts = s.MaxSATConflicts
 	in.sat.Stop = s.aborted
 	in.theory = newEUF()
-	in.shared = s.SharedLemmas
 	in.store = store
 	in.sat.AddClause(in.encode(c))
 	in.addTrichotomy()
-	in.replayShared()
 	in.replayLemmas()
 	s.Stats.Atoms += len(in.atoms)
 	return in
@@ -408,7 +386,6 @@ func (s *Solver) run(in *instance) Result {
 		core := s.minimizeCore(in.theory, start)
 		in.block(core)
 		in.store.record(core)
-		s.SharedLemmas.addCore(core)
 	}
 	s.Stats.MaxRoundsHit++
 	return Unknown

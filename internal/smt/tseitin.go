@@ -26,19 +26,13 @@ type instance struct {
 	theory *euf
 	// store is the owning check's lemma memory (see lemmaStore).
 	store *lemmaStore
-	// shared, when non-nil, is the cross-pair lemma pool (see LemmaPool).
-	// Its lemmas are keyed on canonical atom keys, so atomByKey indexes the
-	// vocabulary by key alongside atomVar's ID index.
-	shared    *LemmaPool
-	atomByKey map[string]*fol.Term
 }
 
 func newInstance() *instance {
 	return &instance{
-		sat:       sat.New(),
-		atomVar:   make(map[uint32]int),
-		gates:     make(map[uint32]sat.Lit),
-		atomByKey: make(map[string]*fol.Term),
+		sat:     sat.New(),
+		atomVar: make(map[uint32]int),
+		gates:   make(map[uint32]sat.Lit),
 	}
 }
 
@@ -62,9 +56,6 @@ func (in *instance) atomLit(t *fol.Term) sat.Lit {
 	v := in.sat.NewVar()
 	in.atomVar[t.ID()] = v
 	in.atoms = append(in.atoms, t)
-	if in.shared != nil {
-		in.atomByKey[t.Key()] = t
-	}
 	// Cache the atom's variables now: the model-round loop partitions
 	// literals into variable-connected components every round, and
 	// re-walking each atom's tree there dominated hot profiles.
@@ -193,30 +184,6 @@ func (in *instance) replayLemmas() {
 				covered = false
 				break
 			}
-		}
-		if covered {
-			in.block(core)
-		}
-	}
-}
-
-// replayShared asserts every pool lemma whose atoms are all registered in
-// this instance's vocabulary, matched by canonical key. Like replayLemmas,
-// it skips lemmas touching unregistered atoms.
-func (in *instance) replayShared() {
-	if in.shared == nil {
-		return
-	}
-	for _, lits := range in.shared.view() {
-		core := make([]theoryLit, len(lits))
-		covered := true
-		for j, l := range lits {
-			t, ok := in.atomByKey[l.AtomKey]
-			if !ok {
-				covered = false
-				break
-			}
-			core[j] = theoryLit{atom: t, pos: l.Pos}
 		}
 		if covered {
 			in.block(core)

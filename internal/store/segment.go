@@ -169,8 +169,9 @@ func (s *Store) ReadTail(from int64, maxBytes int) ([]byte, int64, error) {
 
 // ApplyStats reports what one replicated chunk did to the local store.
 type ApplyStats struct {
-	// Records is how many well-formed records the chunk carried; Applied is
-	// how many were durably written here; Duplicates were already present
+	// Records is how many well-formed records the chunk carried, counting
+	// kinds this store skips (an old log's 'L' records); Applied is how
+	// many were durably written here; Duplicates were already present
 	// under the same key (first-wins: the local record stands); Dropped
 	// were lost to an injected store-append fault or write error (sound:
 	// the position does not advance past a chunk that errored, and a
@@ -219,57 +220,24 @@ func (s *Store) ApplyReplicated(data []byte) (ApplyStats, error) {
 }
 
 // applyRecord applies one checksum-verified record payload with first-wins
-// dedupe. Unknown kinds are skipped (a newer origin's record types are
-// data this replica cannot index, not an error).
+// dedupe. Kinds this store does not index — an old origin's 'L' records, a
+// newer origin's record types — are skipped: data this replica cannot
+// index, not an error.
 func (s *Store) applyRecord(payload []byte, st *ApplyStats) {
-	switch kind := payload[0]; kind {
-	case recVerdict, recWitness:
-		key, _, ok := decodeKeyed(payload, kind)
-		if !ok {
-			return
-		}
-		if _, hit := s.lookup(kind, string(key)); hit {
-			st.Duplicates++
-			return
-		}
-		s.applySync(pending{payload: payload, key: string(key), kind: kind}, st)
-	case recLemma:
-		lits, ok := decodeLemma(payload)
-		if !ok {
-			return
-		}
-		fp := lemmaFingerprint(lits)
-		s.mu.Lock()
-		dup := s.lemmaFP[fp]
-		if !dup {
-			s.lemmaFP[fp] = true
-		}
-		s.mu.Unlock()
-		if dup {
-			st.Duplicates++
-			return
-		}
-		if s.applySync(pending{payload: payload}, st) {
-			// Mirror scan(): keep Lemmas() complete for whoever opens this
-			// log next (the live engine pool was seeded at construction).
-			s.mu.Lock()
-			s.lemmas = append(s.lemmas, lits...)
-			s.lemmaN = append(s.lemmaN, len(lits))
-			s.mu.Unlock()
-		}
+	kind, key, ok := decodeRecord(payload)
+	if !ok {
+		return
 	}
-}
-
-// applySync writes one replicated record through the same durable path as
-// the write-behind writer (including the store-append fault window) and
-// folds the outcome into st. The payload is copied: it aliases the fetched
-// chunk, which the caller may reuse.
-func (s *Store) applySync(p pending, st *ApplyStats) bool {
-	p.payload = append([]byte(nil), p.payload...)
-	if s.writeOne(p) {
+	if _, hit := s.lookup(kind, string(key)); hit {
+		st.Duplicates++
+		return
+	}
+	// Copied: the payload aliases the fetched chunk, which the caller may
+	// reuse. writeOne is the write-behind writer's durable path, including
+	// the store-append fault window.
+	if s.writeOne(pending{payload: append([]byte(nil), payload...), key: string(key), kind: kind}) {
 		st.Applied++
-		return true
+	} else {
+		st.Dropped++
 	}
-	st.Dropped++
-	return false
 }

@@ -143,7 +143,7 @@ func TestReadTailAlignmentAndResume(t *testing.T) {
 
 // TestReplicationParity is the acceptance-criteria pin: a replica that
 // tailed the whole log serves the exact records (modulo order) the origin
-// wrote — same verdicts under the same keys, same witnesses, same lemmas.
+// wrote — same verdicts under the same keys, same witnesses.
 func TestReplicationParity(t *testing.T) {
 	dir := t.TempDir()
 	origin, err := Open(filepath.Join(dir, "origin.log"))
@@ -156,7 +156,6 @@ func TestReplicationParity(t *testing.T) {
 	}
 	origin.AppendWitness("pair-a\x00pair-b", []byte("witness-bytes-1"))
 	origin.AppendWitness("pair-c\x00pair-d", []byte("witness-bytes-2"))
-	origin.AppendLemma([]LemmaLit{{AtomKey: "atom-1", Pos: true}, {AtomKey: "atom-2", Pos: false}})
 	origin.Flush()
 
 	replica, err := Open(filepath.Join(dir, "replica.log"))
@@ -203,9 +202,6 @@ func TestReplicationParity(t *testing.T) {
 	}
 	if w, ok := replica.LookupWitness("pair-a\x00pair-b"); !ok || string(w) != "witness-bytes-1" {
 		t.Fatalf("replica witness: %q, %v", w, ok)
-	}
-	if got := len(replica.Lemmas()); got != 1 {
-		t.Fatalf("replica lemmas = %d, want 1", got)
 	}
 
 	// Idempotence: replaying the whole log applies nothing new.

@@ -1,12 +1,12 @@
 // Package store is the durable warm state of a SPES process: an append-only
-// log of proof obligations' verdicts and theory lemmas, plus an in-memory
-// index over it, so restarts and new replicas start with the hit rates a
-// long-lived process earned.
+// log of proof obligations' verdicts and refutation witnesses, plus an
+// in-memory index over it, so restarts and new replicas start with the hit
+// rates a long-lived process earned.
 //
 // Keys are interner-independent. A verdict record is keyed on the canonical
-// serialization of its obligation formula (fol.Term.Key), and a lemma
-// record carries the canonical keys of its atoms — never interner IDs,
-// which are dense per-epoch and meaningless across processes. The index
+// serialization of its obligation formula (fol.Term.Key) and a witness
+// record on its normalized pair's key — never on interner IDs, which are
+// dense per-epoch and meaningless across processes. The index
 // buckets on a 64-bit FNV fingerprint of the key and confirms the full key
 // by reading the record back before returning a verdict, preserving the
 // repo-wide invariant that a hash collision can never substitute a
@@ -36,10 +36,12 @@ import (
 	"spes/internal/fault"
 )
 
-// record kinds (first payload byte).
+// record kinds (first payload byte). Logs written while theory lemmas were
+// persisted also hold 'L' records; they are framed and checksummed like any
+// other record, so Open and ApplyReplicated count them and read past them,
+// but nothing indexes or replicates them.
 const (
 	recVerdict = 'V'
-	recLemma   = 'L'
 	recWitness = 'W'
 )
 
@@ -51,14 +53,6 @@ const headerLen = 8
 // cannot make the scanner allocate gigabytes or swallow the rest of the log
 // as one "record".
 const maxRecordLen = 1 << 24
-
-// LemmaLit is one literal of a persisted theory lemma: the canonical key of
-// its atom and its polarity. The lemma itself is the clause
-// ¬(l1 ∧ … ∧ lk) — a theory-valid fact independent of any formula.
-type LemmaLit struct {
-	AtomKey string
-	Pos     bool
-}
 
 // ref locates one record's payload in the log.
 type ref struct {
@@ -95,9 +89,6 @@ type Store struct {
 	size    int64
 	index   map[uint64][]ref // verdict records only, FNV(key) → refs
 	witness map[uint64][]ref // witness records only, FNV(pair key) → refs
-	lemmas  []LemmaLit       // flattened lemma literals...
-	lemmaN  []int            // ...with per-lemma lengths, in log order
-	lemmaFP map[uint64]bool  // order-independent lemma dedupe
 	stats   Stats
 	closed  bool
 
@@ -108,13 +99,15 @@ type Store struct {
 	segStart int64
 	segCRC   uint32
 
+	// queue is never closed, so a send racing Close cannot panic: Close
+	// stops the writer with a zero pending instead.
 	queue chan pending
 	done  chan struct{}
 }
 
 type pending struct {
 	payload []byte
-	key     string        // key to index after a durable write; "" for lemmas
+	key     string        // key to index after a durable write
 	kind    byte          // which index the key belongs to (recVerdict or recWitness)
 	ackCh   chan struct{} // Flush sentinel: nil payload, close on receipt
 }
@@ -136,7 +129,6 @@ func Open(path string) (*Store, error) {
 		path:    path,
 		index:   make(map[uint64][]ref),
 		witness: make(map[uint64][]ref),
-		lemmaFP: make(map[uint64]bool),
 		queue:   make(chan pending, queueDepth),
 		done:    make(chan struct{}),
 	}
@@ -163,7 +155,7 @@ func (s *Store) Path() string { return s.path }
 // scanBufSize is the read buffer of scan's single sequential pass.
 const scanBufSize = 64 << 10
 
-// scan replays the log, indexing verdict records and collecting lemmas.
+// scan replays the log, indexing verdict and witness records.
 // It stops at — and truncates — the first record that is torn (short
 // header/payload) or fails its checksum: everything after a torn record is
 // unframed noise, and a half-written record must not survive a restart to
@@ -221,33 +213,16 @@ func (s *Store) scan() error {
 	return err
 }
 
-// indexPayload registers one verified record. Malformed payloads that pass
-// the checksum (a bug, not corruption) are skipped rather than trusted.
+// indexPayload registers one verified record. Other kinds and malformed
+// payloads that pass the checksum (a bug, not corruption) are skipped
+// rather than trusted.
 func (s *Store) indexPayload(payload []byte, r ref) {
-	if len(payload) == 0 {
+	kind, key, ok := decodeRecord(payload)
+	if !ok {
 		return
 	}
-	switch kind := payload[0]; kind {
-	case recVerdict, recWitness:
-		key, _, ok := decodeKeyed(payload, kind)
-		if !ok {
-			return
-		}
-		idx, fp := s.keyed(kind), fnv64(key)
-		idx[fp] = append(idx[fp], r)
-	case recLemma:
-		lits, ok := decodeLemma(payload)
-		if !ok {
-			return
-		}
-		fp := lemmaFingerprint(lits)
-		if s.lemmaFP[fp] {
-			return
-		}
-		s.lemmaFP[fp] = true
-		s.lemmas = append(s.lemmas, lits...)
-		s.lemmaN = append(s.lemmaN, len(lits))
-	}
+	idx, fp := s.keyed(kind), fnv64(key)
+	idx[fp] = append(idx[fp], r)
 }
 
 // keyed returns the index of records of the given kind, 'V' or 'W'.
@@ -340,55 +315,21 @@ func (s *Store) AppendWitness(key string, data []byte) {
 	s.enqueue(pending{payload: encodeWitness(key, data), key: key, kind: recWitness})
 }
 
-// AppendLemma queues a theory lemma (the blocked core l1 ∧ … ∧ lk, i.e. the
-// clause ¬l1 ∨ … ∨ ¬lk) for persistence. Order-independent dedupe keeps the
-// log from filling with the same hot lemma.
-func (s *Store) AppendLemma(lits []LemmaLit) {
-	if len(lits) == 0 {
-		return
-	}
-	fp := lemmaFingerprint(lits)
-	s.mu.Lock()
-	dup := s.lemmaFP[fp]
-	if !dup {
-		s.lemmaFP[fp] = true
-	}
-	s.mu.Unlock()
-	if dup {
-		return
-	}
-	s.enqueue(pending{payload: encodeLemma(lits)})
-}
-
-// Lemmas returns every persisted lemma, in log order. The slices are fresh
-// copies; callers may keep them.
-func (s *Store) Lemmas() [][]LemmaLit {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([][]LemmaLit, 0, len(s.lemmaN))
-	i := 0
-	for _, n := range s.lemmaN {
-		lemma := make([]LemmaLit, n)
-		copy(lemma, s.lemmas[i:i+n])
-		out = append(out, lemma)
-		i += n
-	}
-	return out
-}
-
+// enqueue hands p to the writer, or drops it on a closed store or a full
+// queue: losing the record is sound, blocking is not. The closed check and
+// the send are one step under s.mu, so no record enters the queue behind
+// Close's stop sentinel, where it would be neither written nor dropped.
 func (s *Store) enqueue(p pending) {
 	s.mu.Lock()
-	closed := s.closed
-	s.mu.Unlock()
-	if closed {
-		s.drop()
-		return
+	defer s.mu.Unlock()
+	if !s.closed {
+		select {
+		case s.queue <- p:
+			return
+		default:
+		}
 	}
-	select {
-	case s.queue <- p:
-	default:
-		s.drop() // full queue: losing the record is sound, blocking is not
-	}
+	s.stats.Dropped++
 }
 
 func (s *Store) drop() {
@@ -397,19 +338,21 @@ func (s *Store) drop() {
 	s.mu.Unlock()
 }
 
-// writer drains the write-behind queue. Injected faults at store-append are
-// confined here: a panic tears the current record (recovered, writer keeps
-// going), a cancel skips the write. Both only lose the record.
+// writer drains the write-behind queue until Close's stop sentinel (a zero
+// pending). Injected faults at store-append are confined here: a panic
+// tears the current record (recovered, writer keeps going), a cancel skips
+// the write. Both only lose the record.
 func (s *Store) writer() {
 	defer close(s.done)
 	for p := range s.queue {
-		if p.payload == nil {
-			if p.ackCh != nil {
-				close(p.ackCh)
-			}
-			continue
+		switch {
+		case p.payload != nil:
+			s.writeOne(p)
+		case p.ackCh != nil:
+			close(p.ackCh)
+		default:
+			return
 		}
-		s.writeOne(p)
 	}
 }
 
@@ -458,23 +401,18 @@ func (s *Store) writeOne(p pending) (wrote bool) {
 	s.stats.Bytes = s.size
 	s.stats.Appends++
 	s.noteDurableLocked(s.size, hdr, p.payload)
-	if p.key != "" {
-		idx, fp := s.keyed(p.kind), fnv64(p.key)
-		idx[fp] = append(idx[fp], ref{off: off + headerLen, n: len(p.payload)})
-	}
+	idx, fp := s.keyed(p.kind), fnv64(p.key)
+	idx[fp] = append(idx[fp], ref{off: off + headerLen, n: len(p.payload)})
 	return true
 }
 
 // Flush blocks until every append queued before the call is durably written
 // (or dropped): it rides a sentinel through the FIFO queue and waits for the
-// writer to reach it. It exists for tests and for Close.
+// writer to reach it. It exists for tests and for Close. The send may block
+// on a full queue, so it cannot hold s.mu (the writer takes it); it is safe
+// against Close because the queue is never closed, and a sentinel queued
+// behind Close's stop returns when the writer exits.
 func (s *Store) Flush() {
-	s.mu.Lock()
-	closed := s.closed
-	s.mu.Unlock()
-	if closed {
-		return
-	}
 	ack := make(chan struct{})
 	select {
 	case s.queue <- pending{ackCh: ack}:
@@ -489,17 +427,15 @@ func (s *Store) Flush() {
 // Close flushes the queue and closes the file. Further lookups miss and
 // further appends drop.
 func (s *Store) Close() error {
+	s.Flush()
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
 		return nil
 	}
-	s.mu.Unlock()
-	s.Flush()
-	s.mu.Lock()
 	s.closed = true
 	s.mu.Unlock()
-	close(s.queue)
+	s.queue <- pending{} // stop the writer behind everything queued so far
 	<-s.done
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -533,6 +469,21 @@ func encodeVerdict(key string, valid bool) []byte {
 	return buf
 }
 
+// decodeRecord returns the kind and key of a well-formed 'V' or 'W' payload;
+// any other kind, such as an old log's 'L' records, is not ok. The key
+// aliases payload.
+func decodeRecord(payload []byte) (kind byte, key []byte, ok bool) {
+	if len(payload) == 0 {
+		return 0, nil, false
+	}
+	kind = payload[0]
+	if kind != recVerdict && kind != recWitness {
+		return 0, nil, false
+	}
+	key, _, ok = decodeKeyed(payload, kind)
+	return kind, key, ok
+}
+
 // decodeKeyed splits a 'V' or 'W' payload of the given kind into its key
 // and its value: one verdict byte (0 or 1), or one or more witness bytes.
 // Both slices alias payload.
@@ -563,58 +514,6 @@ func encodeWitness(key string, data []byte) []byte {
 	return buf
 }
 
-// encodeLemma: 'L' | uvarint(k) | k × (uvarint(len(key)) | key | polByte).
-func encodeLemma(lits []LemmaLit) []byte {
-	size := 2 + binary.MaxVarintLen64
-	for _, l := range lits {
-		size += binary.MaxVarintLen64 + len(l.AtomKey) + 1
-	}
-	buf := make([]byte, 0, size)
-	buf = append(buf, recLemma)
-	buf = binary.AppendUvarint(buf, uint64(len(lits)))
-	for _, l := range lits {
-		buf = binary.AppendUvarint(buf, uint64(len(l.AtomKey)))
-		buf = append(buf, l.AtomKey...)
-		if l.Pos {
-			buf = append(buf, 1)
-		} else {
-			buf = append(buf, 0)
-		}
-	}
-	return buf
-}
-
-func decodeLemma(payload []byte) ([]LemmaLit, bool) {
-	if len(payload) < 2 || payload[0] != recLemma {
-		return nil, false
-	}
-	rest := payload[1:]
-	k, w := binary.Uvarint(rest)
-	if w <= 0 || k == 0 || k > 1<<16 {
-		return nil, false
-	}
-	rest = rest[w:]
-	lits := make([]LemmaLit, 0, k)
-	for i := uint64(0); i < k; i++ {
-		n, w := binary.Uvarint(rest)
-		if w <= 0 || n >= maxRecordLen || uint64(len(rest)-w) < n+1 {
-			return nil, false
-		}
-		rest = rest[w:]
-		key := string(rest[:n])
-		pol := rest[n]
-		if pol > 1 {
-			return nil, false
-		}
-		rest = rest[n+1:]
-		lits = append(lits, LemmaLit{AtomKey: key, Pos: pol == 1})
-	}
-	if len(rest) != 0 {
-		return nil, false
-	}
-	return lits, true
-}
-
 // --- hashing ---------------------------------------------------------------
 
 const (
@@ -628,21 +527,4 @@ func fnv64[T string | []byte](s T) uint64 {
 		h = (h ^ uint64(s[i])) * fnvPrime64
 	}
 	return h
-}
-
-// lemmaFingerprint is order-independent over the literals (XOR of per-lit
-// hashes), matching the solver-side lemma dedupe.
-func lemmaFingerprint(lits []LemmaLit) uint64 {
-	var fp uint64
-	for _, l := range lits {
-		h := fnv64(l.AtomKey)
-		if l.Pos {
-			h = (h ^ 0x9e3779b97f4a7c15) * fnvPrime64
-		}
-		fp ^= h
-	}
-	if fp == 0 {
-		fp = 1
-	}
-	return fp
 }

@@ -1,9 +1,12 @@
 package store
 
 import (
+	"bytes"
 	"encoding/binary"
+	"fmt"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 
 	"spes/internal/fault"
@@ -77,33 +80,120 @@ func TestWitnessRoundTrip(t *testing.T) {
 	}
 }
 
-func TestLemmaRoundTripAndDedupe(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "l.log")
-	s := openT(t, path)
-	l1 := []LemmaLit{{AtomKey: "(< x y)", Pos: true}, {AtomKey: "(= x y)", Pos: true}}
-	s.AppendLemma(l1)
-	// Same lemma, different literal order: must dedupe.
-	s.AppendLemma([]LemmaLit{l1[1], l1[0]})
-	// Different polarity: distinct lemma.
-	s.AppendLemma([]LemmaLit{{AtomKey: "(< x y)", Pos: false}})
-	if err := s.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
+// lemmaLit is one literal of an 'L' record, which logs held while theory
+// lemmas were persisted.
+type lemmaLit struct {
+	atomKey string
+	pos     bool
+}
+
+// oldLemma encodes an 'L' record payload as those logs wrote it:
+// 'L' | uvarint(k) | k × (uvarint(len(key)) | key | polByte).
+func oldLemma(lits ...lemmaLit) []byte {
+	buf := binary.AppendUvarint([]byte{'L'}, uint64(len(lits)))
+	for _, l := range lits {
+		buf = binary.AppendUvarint(buf, uint64(len(l.atomKey)))
+		buf = append(buf, l.atomKey...)
+		if l.pos {
+			buf = append(buf, 1)
+		} else {
+			buf = append(buf, 0)
+		}
+	}
+	return buf
+}
+
+// TestOldLemmaRecordsReadPast: a log holding 'L' records between its
+// verdict and witness records opens with the reference scan's record and
+// byte counts and answers every verdict and witness key, and replicating
+// it applies the verdicts and witnesses and skips the lemmas.
+func TestOldLemmaRecordsReadPast(t *testing.T) {
+	dir := t.TempDir()
+	data := frame(
+		encodeVerdict("(and a b)", true),
+		oldLemma(lemmaLit{"(< x y)", true}, lemmaLit{"(= x y)", true}),
+		encodeWitness("pair-1", []byte(`{"seed":7}`)),
+		oldLemma(lemmaLit{"(< x y)", false}),
+		encodeVerdict("(or a b)", false),
+		encodeWitness("pair-2", []byte(`{"seed":8}`)),
+	)
+	payloads, end, err := preadScan(bytes.NewReader(data), int64(len(data)))
+	if err != nil || len(payloads) != 6 || end != int64(len(data)) {
+		t.Fatalf("reference scan: %d records, %d of %d bytes, %v", len(payloads), end, len(data), err)
+	}
+	path := filepath.Join(dir, "old.log")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	check := func(name string, s *Store) {
+		t.Helper()
+		if v, ok := s.LookupVerdict("(and a b)"); !ok || !v {
+			t.Errorf("%s: verdict (and a b) = %v, %v", name, v, ok)
+		}
+		if v, ok := s.LookupVerdict("(or a b)"); !ok || v {
+			t.Errorf("%s: verdict (or a b) = %v, %v", name, v, ok)
+		}
+		for key, want := range map[string]string{"pair-1": `{"seed":7}`, "pair-2": `{"seed":8}`} {
+			if got, ok := s.LookupWitness(key); !ok || string(got) != want {
+				t.Errorf("%s: witness %s = %q, %v", name, key, got, ok)
+			}
+		}
 	}
 
-	s2 := openT(t, path)
-	defer s2.Close()
-	ls := s2.Lemmas()
-	if len(ls) != 2 {
-		t.Fatalf("lemmas after reopen: got %d, want 2 (%v)", len(ls), ls)
+	s := openT(t, path)
+	defer s.Close()
+	if st := s.Snapshot(); st.Records != int64(len(payloads)) || st.Bytes != end || st.TruncatedBytes != 0 {
+		t.Fatalf("Open: %+v, want %d records of %d bytes", st, len(payloads), end)
 	}
-	if len(ls[0]) != 2 || ls[0][0].AtomKey != "(< x y)" || !ls[0][0].Pos {
-		t.Fatalf("lemma 0 mangled: %v", ls[0])
+	check("origin", s)
+
+	replica := openT(t, filepath.Join(dir, "replica.log"))
+	defer replica.Close()
+	st, err := replica.ApplyReplicated(data)
+	if err != nil {
+		t.Fatalf("ApplyReplicated: %v", err)
 	}
-	// Re-appending a persisted lemma after reopen must still dedupe.
-	s2.AppendLemma(l1)
-	s2.Flush()
-	if n := s2.Snapshot().Appends; n != 0 {
-		t.Fatalf("reopened store appended %d duplicate lemmas", n)
+	if st != (ApplyStats{Records: 6, Applied: 4}) {
+		t.Fatalf("ApplyReplicated: %+v, want 6 records with 4 applied", st)
+	}
+	if n := replica.Snapshot().Records; n != 4 {
+		t.Fatalf("replica holds %d records, want the 4 verdicts and witnesses", n)
+	}
+	check("replica", replica)
+}
+
+// TestCloseRacesAppendsAndFlush: appends and Flush calls racing Close never
+// panic, and every distinct-key append is either written or counted as
+// dropped — none is lost behind the writer's stop.
+func TestCloseRacesAppendsAndFlush(t *testing.T) {
+	const rounds, appenders, perAppender = 300, 4, 200
+	dir := t.TempDir()
+	for r := 0; r < rounds; r++ {
+		s := openT(t, filepath.Join(dir, fmt.Sprintf("race-%d.log", r)))
+		var wg sync.WaitGroup
+		for g := 0; g < appenders; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for i := 0; i < perAppender; i++ {
+					s.AppendVerdict(fmt.Sprintf("k%d-%d", g, i), true)
+				}
+			}(g)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				s.Flush()
+			}
+		}()
+		if err := s.Close(); err != nil {
+			t.Fatalf("round %d: Close: %v", r, err)
+		}
+		wg.Wait()
+		if st := s.Snapshot(); st.Appends+st.Dropped != appenders*perAppender {
+			t.Fatalf("round %d: %d appends + %d dropped, want %d", r, st.Appends, st.Dropped, appenders*perAppender)
+		}
 	}
 }
 

@@ -136,13 +136,6 @@ type Config struct {
 	// runs, and definite verdicts are appended write-behind. A store hit is
 	// promoted into the Cache under the interner-tagged key.
 	Store DurableStore
-	// Lemmas, when non-nil, shares theory lemmas across pairs (and, through
-	// the pool's sink, across processes). See smt.LemmaPool for the
-	// soundness argument. Because replayed lemmas can decide obligations
-	// that would otherwise exhaust their budget as Unknown, enabling the
-	// pool may turn not-proved outcomes into proved ones — never the
-	// reverse.
-	Lemmas *smt.LemmaPool
 	// Interner hash-conses every term the Verifier builds, so structurally
 	// equal terms are pointer-identical and obligation cache keys derive
 	// from term IDs instead of full serializations. Verifiers sharing an
@@ -230,7 +223,6 @@ func NewWithConfig(cfg Config) *Verifier {
 	if mc <= 0 {
 		mc = 64
 	}
-	s.SharedLemmas = cfg.Lemmas
 	return &Verifier{
 		MaxCandidates: mc,
 		solver:        s,
