@@ -12,8 +12,8 @@
 # witnesses standalone and routed, and a replication stage where a
 # SIGKILLed shard's verdicts survive on a tailing peer that answers them
 # warm from its replicated store; then perfbench's vet and tests, and a
-# verdict gate: one-second calcite-cold and restart-warm benchmark runs
-# must each reproduce a pinned verdict digest.
+# verdict gate: one-second calcite-cold, production-routed and
+# restart-warm benchmark runs must each reproduce a pinned verdict digest.
 set -eux
 
 # Term-construction lint: fol.Term values must be built through the fol
@@ -265,7 +265,7 @@ grep -o '"verdict": "[a-z-]*"' "$tmp/cluster-ref.json" >"$tmp/cluster-ref-verdic
 
 # A long probe interval pins the failure-discovery path: the router will
 # learn of the kill below from the failing forward itself, not a probe.
-"$tmp/spes-router" -corpus calcite -addr 127.0.0.1:0 -probe-interval 1h \
+"$tmp/spes-router" -addr 127.0.0.1:0 -probe-interval 1h \
     -retry-after-cap 200ms \
     -shards "a=http://$ADDR_A,b=http://$ADDR_B" >"$tmp/router.log" 2>&1 &
 ROUTER_PID=$!
@@ -404,7 +404,7 @@ for i in $(seq 1 50); do
     sleep 0.1
 done
 [ -n "$ADDR_A" ] && [ -n "$ADDR_B" ]
-"$tmp/spes-router" -corpus calcite -addr 127.0.0.1:0 \
+"$tmp/spes-router" -addr 127.0.0.1:0 \
     -shards "ra=http://$ADDR_A,rb=http://$ADDR_B" >"$tmp/refute-router.log" 2>&1 &
 ROUTER_PID=$!
 for i in $(seq 1 50); do
@@ -578,7 +578,7 @@ done
 [ "$A_POS" = "$B_SIZE" ]
 curl -sf "http://$ADDR_A/metrics" | grep -q 'spes_replication_records_total{origin="wb"} [1-9]'
 
-"$tmp/spes-router" -corpus calcite -addr 127.0.0.1:0 -probe-interval 1h \
+"$tmp/spes-router" -addr 127.0.0.1:0 -probe-interval 1h \
     -retry-after-cap 200ms \
     -shards "wa=http://$ADDR_A,wb=http://$ADDR_B" >"$tmp/repl-router.log" 2>&1 &
 ROUTER_PID=$!
@@ -628,9 +628,11 @@ grep -q 'spes-serve: drained' "$tmp/repl-a.log"
 (cd perfbench && go vet ./... && go test ./...)
 
 # --- verdict gate ----------------------------------------------------------
-# One second of the benchmark's calcite-cold workload, and one of
-# restart-warm (the only workload that runs engines over a reopened store),
-# must each reproduce a pinned verdict digest. perfbench checks every
+# One second each of the benchmark's calcite-cold workload, of
+# production-routed (the only workload that runs through the router and
+# the server's coalescer) and of restart-warm (the only workload that runs
+# engines over a reopened store) must each reproduce a pinned verdict
+# digest. perfbench checks every
 # verdict against its reference executor and exits nonzero on any CHECK
 # FAILED; the digest pins the verdicts themselves, so any verdict change
 # fails here until the value is updated on purpose (and the update
@@ -645,4 +647,5 @@ verdict_gate() {
     fi
 }
 verdict_gate calcite-cold 6ef731772b83670f
+verdict_gate production-routed 6bf43fd0ef53d906
 verdict_gate restart-warm 3a07881e3819c92c

@@ -1,14 +1,16 @@
 // Command spes-router fronts a fleet of spes-serve shards as one
-// verification service: batches are split by plan fingerprint,
-// consistent-hashed onto the shard ring, forwarded concurrently, and
-// reassembled in request order. Shards that shed (503 + Retry-After) are
-// retried with their hint honored; shards that die fail their pairs over
-// to the ring successor — sound, because verdicts are deterministic.
+// verification service: each pair of a batch is consistent-hashed onto
+// the shard ring by a hash of its request text, sub-batches are forwarded
+// concurrently, and verdicts are reassembled in request order. Shards that
+// shed (503 + Retry-After) are retried with their hint honored; shards
+// that die fail their pairs over to the ring successor — sound, because
+// verdicts are deterministic. The router never parses a query, so it
+// takes no schema: the shards hold the catalog.
 //
 // Usage:
 //
-//	spes-router -corpus calcite -shards a=http://127.0.0.1:8081,b=http://127.0.0.1:8082
-//	spes-router -schema schema.sql -addr :8080 -shards http://10.0.0.1:8081,http://10.0.0.2:8081
+//	spes-router -shards a=http://127.0.0.1:8081,b=http://127.0.0.1:8082
+//	spes-router -addr :8080 -shards http://10.0.0.1:8081,http://10.0.0.2:8081
 //
 // Each -shards entry is [id=]url; an omitted id defaults to the URL's
 // host:port. IDs are ring identity: keep them stable across shard
@@ -40,18 +42,13 @@ import (
 	"syscall"
 	"time"
 
-	"spes"
 	"spes/internal/cluster"
-	"spes/internal/corpus"
 	"spes/internal/fault"
-	"spes/internal/schema"
 )
 
 func main() {
 	var (
 		addr       = flag.String("addr", ":8080", "listen address (host:port; port 0 picks a free port)")
-		schemaPath = flag.String("schema", "", "path to CREATE TABLE statements (must match the shards' schema)")
-		corpusName = flag.String("corpus", "", `built-in schema to route against instead of -schema ("calcite")`)
 		shardsFlag = flag.String("shards", "", "comma-separated shard list, each [id=]url")
 		vnodes     = flag.Int("vnodes", cluster.DefaultVirtualNodes, "virtual nodes per shard on the hash ring")
 		probeEvery = flag.Duration("probe-interval", 2*time.Second, "how often to health-check every shard")
@@ -71,10 +68,6 @@ func main() {
 		os.Exit(2)
 	}
 
-	cat, err := loadCatalog(*schemaPath, *corpusName)
-	if err != nil {
-		fail("%v", err)
-	}
 	shards, err := parseShards(*shardsFlag)
 	if err != nil {
 		fail("%v", err)
@@ -91,7 +84,6 @@ func main() {
 	}
 
 	rt := cluster.NewRouter(cluster.Config{
-		Catalog:        cat,
 		Shards:         shards,
 		VirtualNodes:   *vnodes,
 		ProbeInterval:  *probeEvery,
@@ -171,28 +163,4 @@ func parseShards(spec string) ([]cluster.Shard, error) {
 		return nil, fmt.Errorf("-shards named no shards")
 	}
 	return out, nil
-}
-
-// loadCatalog resolves exactly one of -schema / -corpus (mirrors
-// spes-serve: the router must fingerprint against the shards' schema).
-func loadCatalog(schemaPath, corpusName string) (*schema.Catalog, error) {
-	switch {
-	case schemaPath != "" && corpusName != "":
-		return nil, fmt.Errorf("give either -schema or -corpus, not both")
-	case schemaPath != "":
-		ddl, err := os.ReadFile(schemaPath)
-		if err != nil {
-			return nil, fmt.Errorf("reading schema: %w", err)
-		}
-		cat, err := spes.ParseCatalog(string(ddl))
-		if err != nil {
-			return nil, fmt.Errorf("parsing schema: %w", err)
-		}
-		return cat, nil
-	case corpusName == "calcite":
-		return corpus.Catalog(), nil
-	case corpusName != "":
-		return nil, fmt.Errorf("unknown corpus %q (have: calcite)", corpusName)
-	}
-	return nil, fmt.Errorf("one of -schema or -corpus is required")
 }

@@ -7,13 +7,13 @@ import (
 	"testing"
 	"time"
 
-	"spes/internal/corpus"
 	"spes/internal/fault"
 	"spes/internal/server"
 )
 
 // settleGoroutines waits for the goroutine count to return to base —
-// proving no forward, prober, or mergeCancel goroutine was stranded.
+// proving no forward, prober, or client-cancellation goroutine was
+// stranded.
 func settleGoroutines(t *testing.T, base int, within time.Duration) {
 	t.Helper()
 	deadline := time.Now().Add(within)
@@ -53,7 +53,6 @@ func TestChaosShardKillMidBatch(t *testing.T) {
 	a := newTestShard(t, "a", server.Config{})
 	b := newTestShard(t, "b", server.Config{})
 	rt := NewRouter(Config{
-		Catalog:       corpus.Catalog(),
 		Shards:        []Shard{{ID: "a", URL: a.ts.URL}, {ID: "b", URL: b.ts.URL}},
 		ProbeInterval: -1,
 		RetryAfterCap: 20 * time.Millisecond,
@@ -100,7 +99,8 @@ func TestChaosShardKillMidBatch(t *testing.T) {
 	}
 
 	// Wind down and prove nothing was stranded: no forward goroutine
-	// waiting on the dead shard, no mergeCancel watcher, no prober.
+	// waiting on the dead shard, no client-cancellation callback, no
+	// prober.
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	if err := rt.Shutdown(ctx); err != nil {
@@ -125,7 +125,6 @@ func TestChaosRouterForwardSite(t *testing.T) {
 	a := newTestShard(t, "a", server.Config{})
 	b := newTestShard(t, "b", server.Config{})
 	rt := NewRouter(Config{
-		Catalog:       corpus.Catalog(),
 		Shards:        []Shard{{ID: "a", URL: a.ts.URL}, {ID: "b", URL: b.ts.URL}},
 		ProbeInterval: -1,
 		RetryAfterCap: 20 * time.Millisecond,

@@ -15,14 +15,14 @@ import (
 
 	"spes/internal/engine"
 	"spes/internal/fault"
-	"spes/internal/plan"
 	"spes/internal/server"
 )
 
-// This file is the router's data path: split a batch by plan fingerprint,
-// forward each shard's sub-batch concurrently, ride out shard 503s by
-// honoring Retry-After, fail dead shards' pairs over to the ring
-// successor, and reassemble verdicts in request order.
+// This file is the router's data path: split a batch by routing key (a
+// hash of each pair's request text), forward each shard's sub-batch
+// concurrently, ride out shard 503s by honoring Retry-After, fail dead
+// shards' pairs over to the ring successor, and reassemble verdicts in
+// request order.
 //
 // Failure taxonomy, per forward (forward implements it for both
 // endpoints):
@@ -87,15 +87,14 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 
 	start := time.Now()
-	fps := make([]uint64, len(req.Pairs))
-	b := plan.NewBuilder(rt.cfg.Catalog)
+	keys := make([]uint64, len(req.Pairs))
 	for i, p := range req.Pairs {
-		fps[i] = rt.fingerprint(b, p.SQL1, p.SQL2)
+		keys[i] = routeKey(p.SQL1, p.SQL2)
 	}
 
 	ctx, cancel := rt.requestCtx(r.Context())
 	defer cancel()
-	results, agg, unplaced := rt.routeBatch(ctx, req, fps)
+	results, agg, unplaced := rt.routeBatch(ctx, req, keys)
 	if unplaced == len(req.Pairs) {
 		// Nothing was verified anywhere: the cluster is unavailable, and
 		// saying so beats returning a batch of fabricated-looking
@@ -120,34 +119,19 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 // a generous multiple of the per-forward timeout, so retry/failover chains
 // cannot outlive the client's patience unboundedly.
 func (rt *Router) requestCtx(reqCtx context.Context) (context.Context, context.CancelFunc) {
-	ctx, cancel1 := context.WithTimeout(rt.baseCtx, 4*rt.cfg.ForwardTimeout)
+	ctx, cancel := context.WithTimeout(rt.baseCtx, 4*rt.cfg.ForwardTimeout)
 	// Also stop when the client hangs up: unlike a shard's coalesced
 	// leader, the router has no waiters to serve — forwarding for a gone
 	// client is pure waste. The shards keep their own caches warm either
-	// way.
-	ctx, cancel2 := mergeCancel(ctx, reqCtx)
-	return ctx, func() { cancel2(); cancel1() }
-}
-
-// mergeCancel derives a context from primary that is also cancelled when
-// secondary is.
-func mergeCancel(primary, secondary context.Context) (context.Context, context.CancelFunc) {
-	ctx, cancel := context.WithCancel(primary)
-	stop := make(chan struct{})
-	go func() {
-		select {
-		case <-secondary.Done():
-			cancel()
-		case <-stop:
-		}
-	}()
-	return ctx, func() { close(stop); cancel() }
+	// way. AfterFunc registers the cancel without a watcher goroutine.
+	stop := context.AfterFunc(reqCtx, cancel)
+	return ctx, func() { stop(); cancel() }
 }
 
 // routeBatch places every pair on a shard (re-routing around failures) and
 // returns verdicts in request order, the summed sub-batch stats, and how
 // many pairs no live shard could take.
-func (rt *Router) routeBatch(ctx context.Context, req server.BatchRequest, fps []uint64) ([]server.VerifyResponse, server.BatchStatsJSON, int) {
+func (rt *Router) routeBatch(ctx context.Context, req server.BatchRequest, keys []uint64) ([]server.VerifyResponse, server.BatchStatsJSON, int) {
 	results := make([]server.VerifyResponse, len(req.Pairs))
 	placed := make([]bool, len(req.Pairs))
 	var agg server.BatchStatsJSON // Pairs, WallMS and PairsPerSec are the caller's
@@ -172,7 +156,7 @@ func (rt *Router) routeBatch(ctx context.Context, req server.BatchRequest, fps [
 		}
 		groups := map[string][]int{}
 		for _, i := range pending {
-			shard := ring.Lookup(fps[i])
+			shard := ring.Lookup(keys[i])
 			groups[shard] = append(groups[shard], i)
 		}
 		order := make([]string, 0, len(groups))
@@ -386,15 +370,13 @@ func (rt *Router) handleVerify(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, "internal_error", err.Error())
 		return
 	}
-	fp := rt.fingerprint(plan.NewBuilder(rt.cfg.Catalog), req.SQL1, req.SQL2)
-
 	ctx, cancel := rt.requestCtx(r.Context())
 	defer cancel()
 
 	ring := rt.ringSnapshot()
 	// The owner first, then its ring successors: the failover order a
 	// mid-request shard death walks.
-	for _, shardID := range ring.Successors(fp, ring.Size()) {
+	for _, shardID := range ring.Successors(routeKey(req.SQL1, req.SQL2), ring.Size()) {
 		status, hdr, respBody, err := rt.forward(ctx, shardID, "/v1/verify", body, 1)
 		if err != nil {
 			rt.failovers.Inc(shardID)

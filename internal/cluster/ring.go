@@ -1,15 +1,16 @@
 // Package cluster is the multi-node verification tier: a stateless HTTP
-// router that splits incoming batches by plan fingerprint, consistent-hashes
-// each pair onto a ring of spes-serve shards, forwards sub-batches
+// router that consistent-hashes each pair of an incoming batch onto a ring
+// of spes-serve shards by a hash of its request text, forwards sub-batches
 // concurrently, and reassembles verdicts in request order.
 //
-// Why fingerprint routing: a pair's verdict depends only on its own plans,
-// so the workload partitions freely — but WHERE a pair lands decides whether
-// the shard's warm state helps. The plan fingerprint is the engine's dedupe
-// key (PR 1), so recurrences of a hot pair, and the obligations they share,
-// always land on the same shard: each shard's obligation cache, term DAG,
-// and durable store stay coherent on its slice of the workload instead of
-// diluting hit rates N ways.
+// Why text routing: a pair's verdict depends only on its own plans, so the
+// workload partitions freely — but WHERE a pair lands decides whether the
+// shard's warm state helps. Hashing the two SQL strings sends every
+// recurrence of a pair, and the obligations it brings, to the same shard:
+// each shard's obligation cache, term DAG, and durable store stay coherent
+// on its slice of the workload instead of diluting hit rates N ways.
+// Production queries recur verbatim, so the text co-locates what a plan
+// fingerprint would, and the router needs no schema and parses nothing.
 //
 // Why failover is sound: verdicts are deterministic functions of the two
 // plans (the whole repo's parity suites pin this), so re-verifying a pair on
@@ -104,13 +105,13 @@ func (r *Ring) Size() int { return len(r.shards) }
 // mutate).
 func (r *Ring) Shards() []string { return r.shards }
 
-// Lookup returns the shard owning the fingerprint: the first vnode at or
-// after fp on the ring, wrapping at the top. Empty ring returns "".
-func (r *Ring) Lookup(fp uint64) string {
+// Lookup returns the shard owning the routing key: the first vnode at or
+// after key on the ring, wrapping at the top. Empty ring returns "".
+func (r *Ring) Lookup(key uint64) string {
 	if len(r.points) == 0 {
 		return ""
 	}
-	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= fp })
+	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= key })
 	if i == len(r.points) {
 		i = 0
 	}
@@ -118,9 +119,9 @@ func (r *Ring) Lookup(fp uint64) string {
 }
 
 // Successors returns up to n distinct shards in ring order starting at the
-// fingerprint's owner — the failover sequence for a pair: if the owner
+// routing key's owner — the failover sequence for a pair: if the owner
 // dies, its pairs re-verify on the next shard in this list.
-func (r *Ring) Successors(fp uint64, n int) []string {
+func (r *Ring) Successors(key uint64, n int) []string {
 	if len(r.points) == 0 || n <= 0 {
 		return nil
 	}
@@ -129,7 +130,7 @@ func (r *Ring) Successors(fp uint64, n int) []string {
 	}
 	out := make([]string, 0, n)
 	seen := map[string]bool{}
-	start := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= fp })
+	start := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= key })
 	for k := 0; k < len(r.points) && len(out) < n; k++ {
 		p := r.points[(start+k)%len(r.points)]
 		if !seen[p.shard] {

@@ -26,14 +26,12 @@ type Shard struct {
 	URL string // base URL, e.g. "http://127.0.0.1:8081"
 }
 
-// Config tunes the router. Catalog and at least one Shard are required;
-// the zero value of every other field selects the documented default.
+// Config tunes the router. At least one Shard is required; the zero
+// value of every other field selects the documented default.
 type Config struct {
-	// Catalog is the schema the router builds plans against — only to
-	// fingerprint them for routing; verification happens on the shards.
-	// It must match the shards' catalog or routing keys will not line up
-	// with the shards' dedupe keys (routing stays correct, locality is
-	// lost).
+	// Catalog has no effect: the router routes by request text and never
+	// builds a plan. The field remains only because the benchmark's
+	// service workload still sets it.
 	Catalog *schema.Catalog
 	// Shards is the initial membership.
 	Shards []Shard
@@ -178,9 +176,6 @@ type Router struct {
 // these are programmer errors, matching server.New.
 func NewRouter(cfg Config) *Router {
 	cfg = cfg.withDefaults()
-	if cfg.Catalog == nil {
-		panic("cluster: Config.Catalog is required")
-	}
 	if len(cfg.Shards) == 0 {
 		panic("cluster: Config.Shards must name at least one shard")
 	}
@@ -488,17 +483,11 @@ func (rt *Router) probeLoop() {
 	}
 }
 
-// fingerprint computes a pair's routing key: the engine's dedupe
-// fingerprint (PR 1) when both plans build, so recurrences of a pair land
-// on the shard already warm for it; a stable hash of the raw SQL otherwise
-// (the shard will classify the failure itself — routing only needs a
-// deterministic key).
-func (rt *Router) fingerprint(b *plan.Builder, sql1, sql2 string) uint64 {
-	q1, err1 := b.BuildSQL(sql1)
-	q2, err2 := b.BuildSQL(sql2)
-	if err1 == nil && err2 == nil {
-		return plan.PairFingerprint(q1, q2)
-	}
+// routeKey places a pair on the ring: a stable hash of its request text,
+// so every recurrence of a pair lands on the shard already warm for it.
+// Two pairs whose keys collide merely share a shard, so the key need not
+// be injective, and the router never parses or builds a query.
+func routeKey(sql1, sql2 string) uint64 {
 	return plan.HashKey(sql1 + "\x00" + sql2)
 }
 

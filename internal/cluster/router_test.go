@@ -52,7 +52,6 @@ func newTestShard(t *testing.T, id string, cfg server.Config) *testShard {
 func newTestRouter(t *testing.T, shards []*testShard, mut func(*Config)) *Router {
 	t.Helper()
 	cfg := Config{
-		Catalog:       corpus.Catalog(),
 		ProbeInterval: -1, // tests drive ProbeNow themselves
 		RetryAfterCap: 50 * time.Millisecond,
 	}
@@ -170,7 +169,7 @@ func TestRouterBatchRoutesAndReassembles(t *testing.T) {
 					t.Fatalf("shard %s verified none of the batch: %v", sh.id, shardsUsed)
 				}
 				if sh.srv.Engine().Stats().Pairs == 0 {
-					t.Fatalf("shard %s engine verified 0 pairs — fingerprint routing left it idle", sh.id)
+					t.Fatalf("shard %s engine verified 0 pairs — routing left it idle", sh.id)
 				}
 			}
 			t.Logf("split %v", shardsUsed)
@@ -268,7 +267,6 @@ func TestRouterHonorsRetryAfter(t *testing.T) {
 
 	const capMS = 60
 	rt := NewRouter(Config{
-		Catalog:       corpus.Catalog(),
 		Shards:        []Shard{{ID: "shed", URL: shed.URL}},
 		ProbeInterval: -1,
 		RetryAfterCap: capMS * time.Millisecond,
@@ -562,7 +560,6 @@ func TestRouterReadmitsRecoveredShard(t *testing.T) {
 	go b1.Serve(l)
 
 	rt := NewRouter(Config{
-		Catalog:       corpus.Catalog(),
 		Shards:        []Shard{{ID: "a", URL: a.ts.URL}, {ID: "b", URL: "http://" + addr}},
 		ProbeInterval: -1, // only the reprobe loop may re-admit
 		ReprobeBase:   10 * time.Millisecond,

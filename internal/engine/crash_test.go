@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"runtime"
 	"strings"
 	"testing"
@@ -90,6 +91,58 @@ func TestBatchWorkerPanicRecovered(t *testing.T) {
 	}
 	if stats.Panics == 0 {
 		t.Fatal("no recovered panic recorded in batch stats")
+	}
+}
+
+// TestDedupeLeaderPanicPublishes pins the dedupe leader's publication
+// path: a leader whose check panics still hands its verdict to the
+// followers waiting on it. Six copies of one pair on four workers, with
+// every SPJ verification panicking: exactly one copy verifies (and
+// panics), the other five share its degraded NotProved verdict, and none
+// is stranded on a channel that never closes.
+func TestDedupeLeaderPanicPublishes(t *testing.T) {
+	if err := fault.Enable(fault.Config{
+		Seed: 4, PerMille: 1000,
+		Sites: []fault.Site{fault.VeriSPJ},
+		Kinds: []fault.Kind{fault.KindPanic},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	defer fault.Disable()
+
+	var pairs []Pair
+	for i := 0; i < 6; i++ {
+		pairs = append(pairs, Pair{
+			ID:   fmt.Sprintf("hot%d", i),
+			SQL1: "SELECT * FROM (SELECT * FROM EMP WHERE DEPT_ID < 9) T WHERE SALARY > 5",
+			SQL2: "SELECT * FROM EMP WHERE DEPT_ID < 9 AND SALARY > 5",
+		})
+	}
+	done := make(chan []Result, 1)
+	go func() {
+		results, _ := VerifyBatch(corpus.Catalog(), pairs, Options{Workers: 4})
+		done <- results
+	}()
+	var results []Result
+	select {
+	case results = <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("batch never returned: a follower is stranded on its panicked leader")
+	}
+	panicked, deduped := 0, 0
+	for _, r := range results {
+		if r.Verdict == Equivalent {
+			t.Errorf("pair %s proved Equivalent while every SPJ check panics: %+v", r.ID, r)
+		}
+		if r.Panicked {
+			panicked++
+		}
+		if r.Deduped {
+			deduped++
+		}
+	}
+	if panicked != 1 || deduped != 5 {
+		t.Errorf("panicked = %d, deduped = %d; want 1 leader panic shared by 5 followers", panicked, deduped)
 	}
 }
 

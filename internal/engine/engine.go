@@ -4,22 +4,20 @@
 // of the paper: thousands of production pairs) short-circuit repeated
 // work:
 //
-//   - a normalization memo keyed by structural plan fingerprint, so a
+//   - a normalization memo keyed by the raw plan's canonical key, so a
 //     query appearing in many pairs is normalized once;
-//   - two-level pair dedupe — by raw pair before normalization (verbatim
-//     recurrence costs one serialization) and by normalized pair after
-//     (textually different pairs that normalize identically) — so
-//     structurally identical pairs are verified once and share the
-//     verdict;
+//   - pair dedupe keyed by the normalized pair's canonical key, so a
+//     verbatim recurrence, or a textually different pair that normalizes
+//     identically, is verified once and shares the verdict;
 //   - a bounded LRU obligation cache keyed by the canonical serialization
 //     of each solver obligation, so identical validity questions across
 //     pairs are answered once.
 //
-// Every fingerprint-indexed table confirms identity against the full
-// canonical serialization before reusing an entry, so a 64-bit hash
-// collision can never substitute a different plan or obligation; and only
-// definite solver verdicts are cached, so caching and parallelism never
-// change a soundness-critical answer (the determinism tests pin this).
+// The memo tables are plain maps over the full canonical keys, which are
+// injective, so a hit can never substitute a different plan or pair; and
+// only definite solver verdicts are cached, so caching and parallelism
+// never change a soundness-critical answer (the determinism tests pin
+// this).
 //
 // Each worker owns its mutable state — a plan builder, a reused
 // normalizer (whose predicate-satisfiability cache warms over the batch),
@@ -114,11 +112,6 @@ type Options struct {
 	DisableCaching bool
 	// DisableNormalization verifies raw plans (the paper's ablation).
 	DisableNormalization bool
-	// NormalizeOptions tunes individual rules when normalization is on.
-	NormalizeOptions normalize.Options
-	// MaxCandidates caps VeriVec's bijection search per vector pair
-	// (0 = verifier default).
-	MaxCandidates int
 	// TermNodeHighWater, when > 0, bounds the shared term DAG: once the
 	// interner holds at least this many nodes, the engine opens a new
 	// interner epoch — workers that start after the rotation build through
@@ -139,16 +132,16 @@ type Options struct {
 	// benchmark's restart-warm workload still sets it.
 	ShareLemmas bool
 	// ConstraintDigest is the catalog's integrity-constraint digest
-	// (schema.Catalog.ConstraintDigest). It namespaces every key the
-	// engine derives from plan serializations — the normalization memo,
-	// both pair-dedupe levels, and (through verify.Config) the obligation
-	// cache, durable store, and witness keys — because plan serializations
-	// do not mention constraints while verdicts depend on them: the same
-	// pair can be equivalent under a FOREIGN KEY and not-proved without
-	// it. Empty for a constraint-free catalog, which leaves every key
-	// byte-identical to the pre-constraint engine. The catalog-aware entry
-	// points (VerifyBatch, NewEngine) fill it automatically; plan-level
-	// batches over a constrained catalog must set it themselves.
+	// (schema.Catalog.ConstraintDigest). Through verify.Config it
+	// namespaces the obligation cache, durable store, and witness keys,
+	// because plan serializations do not mention constraints while
+	// verdicts depend on them: the same pair can be equivalent under a
+	// FOREIGN KEY and not-proved without it. The engine's own memo tables
+	// need no namespace, since a Shared serves one digest for life. Empty
+	// for a constraint-free catalog, which leaves every key byte-identical
+	// to the pre-constraint engine. The catalog-aware entry points
+	// (VerifyBatch, NewEngine) fill it automatically; plan-level batches
+	// over a constrained catalog must set it themselves.
 	ConstraintDigest string
 	// RefuteBudget, when > 0, runs the bounded refutation pass on pairs
 	// whose proof failed for a reason other than timeout, cancellation, or
@@ -206,10 +199,6 @@ type Result struct {
 	// Stack carries a truncated goroutine stack when Panicked is set, for
 	// operators diagnosing the fault (never interpreted by the pipeline).
 	Stack string
-	// Fingerprint is the structural hash of the normalized pair (0 when
-	// the plans failed to build or when caching — and with it the
-	// fingerprinting path — is disabled).
-	Fingerprint uint64
 }
 
 // normMemoMax bounds the normalization memo: when the entry count reaches
@@ -218,49 +207,34 @@ type Result struct {
 // bound as distinct queries stream past.
 const normMemoMax = 1 << 15
 
-// normMemo memoizes normalization results. The fingerprint picks the
-// bucket; the canonical plan serialization confirms identity, so a hash
-// collision can never substitute a different plan.
+// normMemo memoizes normalization results by the raw plan's canonical
+// key.
 type normMemo struct {
 	mu     sync.Mutex
-	m      map[uint64][]normEntry
-	count  int
+	m      map[string]plan.Node
 	hits   int64
 	misses int64
 }
 
-type normEntry struct {
-	key  string
-	node plan.Node
-}
-
-func (m *normMemo) lookup(fp uint64, key string) (plan.Node, bool) {
+func (m *normMemo) lookup(key string) (plan.Node, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for _, e := range m.m[fp] {
-		if e.key == key {
-			m.hits++
-			return e.node, true
-		}
+	n, ok := m.m[key]
+	if ok {
+		m.hits++
+	} else {
+		m.misses++
 	}
-	m.misses++
-	return nil, false
+	return n, ok
 }
 
-func (m *normMemo) store(fp uint64, key string, n plan.Node) {
+func (m *normMemo) store(key string, n plan.Node) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for _, e := range m.m[fp] {
-		if e.key == key {
-			return // another worker won the race; results are structurally equal
-		}
+	if len(m.m) >= normMemoMax {
+		m.m = make(map[string]plan.Node)
 	}
-	if m.count >= normMemoMax {
-		m.m = make(map[uint64][]normEntry)
-		m.count = 0
-	}
-	m.m[fp] = append(m.m[fp], normEntry{key: key, node: n})
-	m.count++
+	m.m[key] = n // a racing worker's result is structurally equal
 }
 
 func (m *normMemo) counters() (hits, misses int64) {
@@ -270,31 +244,27 @@ func (m *normMemo) counters() (hits, misses int64) {
 }
 
 // dedupeMap coordinates pair dedupe: exactly one claimant per canonical
-// pair key becomes the leader and verifies; followers wait on the entry
-// and copy the verdict. Fingerprint-bucketed with full-key confirmation,
-// like normMemo.
+// normalized-pair key becomes the leader and verifies; followers wait on
+// the entry and copy the verdict.
 type dedupeMap struct {
 	mu sync.Mutex
-	m  map[uint64][]*dedupeEntry
+	m  map[string]*dedupeEntry
 }
 
 type dedupeEntry struct {
-	key  string
 	done chan struct{}
 	res  Result // verdict fields only; set by the leader before close(done)
 }
 
 // claim returns the pair's entry and whether the caller is its leader.
-func (d *dedupeMap) claim(fp uint64, key string) (*dedupeEntry, bool) {
+func (d *dedupeMap) claim(key string) (*dedupeEntry, bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	for _, e := range d.m[fp] {
-		if e.key == key {
-			return e, false
-		}
+	if e, ok := d.m[key]; ok {
+		return e, false
 	}
-	e := &dedupeEntry{key: key, done: make(chan struct{})}
-	d.m[fp] = append(d.m[fp], e)
+	e := &dedupeEntry{done: make(chan struct{})}
+	d.m[key] = e
 	return e, true
 }
 
@@ -303,11 +273,10 @@ func (d *dedupeMap) claim(fp uint64, key string) (*dedupeEntry, bool) {
 // batch; a long-running Engine keeps one alive across requests. Workers
 // are created per goroutine with NewWorker.
 type Shared struct {
-	opts     Options
-	cache    *ObligationCache // nil when disabled
-	norm     *normMemo        // nil when disabled
-	rawDedup *dedupeMap       // nil when disabled or persistent; keyed by the raw pair
-	dedup    *dedupeMap       // nil when disabled or persistent; keyed by the normalized pair
+	opts  Options
+	cache *ObligationCache // nil when disabled
+	norm  *normMemo        // nil when disabled
+	dedup *dedupeMap       // nil when disabled or persistent
 
 	// parent, when non-nil, receives a copy of every recorded result: a
 	// batch overlay (Engine.VerifyBatch) counts its work into the
@@ -463,24 +432,12 @@ func NewShared(opts Options) *Shared {
 		if opts.CacheSize >= 0 {
 			s.cache = NewObligationCache(opts.CacheSize)
 		}
-		s.norm = &normMemo{m: make(map[uint64][]normEntry)}
-		s.rawDedup = &dedupeMap{m: make(map[uint64][]*dedupeEntry)}
-		s.dedup = &dedupeMap{m: make(map[uint64][]*dedupeEntry)}
+		s.norm = &normMemo{m: make(map[string]plan.Node)}
+		s.dedup = &dedupeMap{m: make(map[string]*dedupeEntry)}
 		s.keys = make(map[plan.Node]string)
 		s.sat = &satTable{m: make(map[string]bool)}
 	}
 	return s
-}
-
-// digestKey namespaces a plan-derived memo key by the catalog's
-// constraint digest (same scheme as the verifier's cache keys). A
-// constraint-free catalog has an empty digest and keys pass through
-// unchanged.
-func (s *Shared) digestKey(key string) string {
-	if s.opts.ConstraintDigest == "" {
-		return key
-	}
-	return "c" + s.opts.ConstraintDigest + ":" + key
 }
 
 // keyOf returns plan.Key(n), memoized by node pointer when the keys map is
@@ -583,7 +540,7 @@ type Worker struct {
 // be nil when only plan-level entry points are used.
 func (s *Shared) NewWorker(cat *schema.Catalog) *Worker {
 	fault.Inject(fault.WorkerSpawn)
-	w := &Worker{shared: s, nz: normalize.New(s.opts.NormalizeOptions)}
+	w := &Worker{shared: s, nz: normalize.New(normalize.Options{})}
 	if s.sat != nil {
 		w.nz.SetSatCache(s.sat)
 	}
@@ -596,10 +553,8 @@ func (s *Shared) NewWorker(cat *schema.Catalog) *Worker {
 // VerifiersBuilt returns how many fresh Verifiers this worker constructed.
 func (w *Worker) VerifiersBuilt() int { return w.verifiersBuilt }
 
-// normalizePlan applies normalization through the shared memo. key is the
-// plan's canonical serialization, already computed by the caller (the raw
-// dedupe layer needs it too, so the tree is serialized exactly once).
-func (w *Worker) normalizePlan(q plan.Node, key string) plan.Node {
+// normalizePlan applies normalization through the shared memo.
+func (w *Worker) normalizePlan(q plan.Node) plan.Node {
 	fault.Inject(fault.Normalize) // cancel outcome: nothing to cancel here
 	if w.shared.opts.DisableNormalization {
 		return q
@@ -607,16 +562,12 @@ func (w *Worker) normalizePlan(q plan.Node, key string) plan.Node {
 	if w.shared.norm == nil {
 		return w.nz.Normalize(q)
 	}
-	// Digest-namespaced: normalization reads constraint metadata (FK join
-	// elimination, unique-key grouping), so the same serialized plan can
-	// normalize differently under different catalogs.
-	dkey := w.shared.digestKey(key)
-	fp := plan.HashKey(dkey)
-	if n, ok := w.shared.norm.lookup(fp, dkey); ok {
+	key := w.shared.keyOf(q)
+	if n, ok := w.shared.norm.lookup(key); ok {
 		return n
 	}
 	n := w.nz.Normalize(q)
-	w.shared.norm.store(fp, dkey, n)
+	w.shared.norm.store(key, n)
 	return n
 }
 
@@ -630,7 +581,6 @@ const DefaultWatchdogGrace = 2 * time.Second
 // so a solver stuck past deadline-plus-grace cannot pin the worker.
 func (w *Worker) check(ctx context.Context, q1, q2 plan.Node) Result {
 	cfg := verify.Config{
-		MaxCandidates:    w.shared.opts.MaxCandidates,
 		Interner:         w.shared.interner(),
 		RefuteBudget:     w.shared.opts.RefuteBudget,
 		ConstraintDigest: w.shared.opts.ConstraintDigest,
@@ -661,7 +611,7 @@ func (w *Worker) check(ctx context.Context, q1, q2 plan.Node) Result {
 }
 
 // runCheck is the direct verification behind check. Callers guarantee
-// panic recovery (protect, leadPair, or checkWatchdog's goroutine).
+// panic recovery (protect, or checkWatchdog's goroutine).
 //
 // The refutation pass runs only after a completed-but-failed proof:
 // Verifier.Refute is a no-op when the solver timed out or was cancelled
@@ -781,17 +731,15 @@ func protect(fn func() Result) (r Result) {
 }
 
 // VerifyPlans verifies one already-built pair through the full engine
-// path: raw-pair dedupe, memoized normalization, normalized-pair dedupe,
-// cached solving.
+// path: memoized normalization, dedupe on the normalized pair, cached
+// solving.
 //
-// Dedupe runs at two levels. The raw level fires before normalization, so
-// a verbatim-recurring pair (the hot queries of §7.3's workloads) costs
-// one serialization and a wait; the normalized level additionally catches
-// textually different pairs that normalize to the same form. The wait
-// graph is acyclic — raw followers wait on a raw leader, a raw leader
-// waits at most on a normalized leader, normalized leaders never wait —
-// so no worker count can deadlock, and with one worker every claimed
-// entry was already completed earlier in the loop.
+// Every raw duplicate is also a normalized duplicate, so one dedupe level
+// catches verbatim recurrence (the hot queries of §7.3's workloads) and
+// textually different pairs that normalize alike. A follower waits only
+// on a leader, and a leader never waits, so no worker count can deadlock;
+// with one worker every claimed entry was already completed earlier in
+// the loop.
 func (w *Worker) VerifyPlans(id string, q1, q2 plan.Node) Result {
 	return w.VerifyPlansContext(context.Background(), id, q1, q2)
 }
@@ -807,101 +755,38 @@ func (w *Worker) VerifyPlansContext(ctx context.Context, id string, q1, q2 plan.
 		w.shared.record(r)
 		return r
 	}
-	if w.shared.norm == nil && w.shared.dedup == nil {
-		// Caching disabled: exactly the sequential per-pair work, fanned out.
-		r := protect(func() Result {
-			return w.check(ctx, w.normalizePlan(q1, ""), w.normalizePlan(q2, ""))
-		})
-		r.ID, r.Elapsed = id, time.Since(start)
-		w.shared.record(r)
-		return r
-	}
-
-	k1, k2 := w.shared.keyOf(q1), w.shared.keyOf(q2)
-	if w.shared.dedup == nil {
-		// Persistent engine: memoized normalization and the obligation
-		// cache carry across requests, but no pair-dedupe table — an entry
-		// per pair ever seen would grow without bound and pin indefinite
-		// (timeout/cancel) verdicts forever. In-flight coalescing is the
-		// server's job, and definite cross-request reuse comes from the
-		// obligation cache, which makes re-verification cheap.
-		r := protect(func() Result {
-			n1 := w.normalizePlan(q1, k1)
-			n2 := w.normalizePlan(q2, k2)
-			r := w.check(ctx, n1, n2)
-			r.Fingerprint = plan.PairFingerprint(n1, n2)
-			return r
-		})
-		r.ID, r.Elapsed = id, time.Since(start)
-		w.shared.record(r)
-		return r
-	}
-
-	rawKey := w.shared.digestKey(k1 + "\x00" + k2)
-	rawE, rawLeader := w.shared.rawDedup.claim(plan.HashKey(rawKey), rawKey)
-	if !rawLeader {
-		<-rawE.done
-		r := followerResult(rawE.res, id, start)
-		w.shared.record(r)
-		return r
-	}
-
-	res, follower := w.leadPair(ctx, q1, q2, k1, k2, rawE)
-	var r Result
-	if follower {
-		r = followerResult(res, id, start)
+	deduped := false
+	r := protect(func() Result {
+		n1, n2 := w.normalizePlan(q1), w.normalizePlan(q2)
+		if w.shared.dedup == nil {
+			// Caching is disabled, or this is a persistent engine, which
+			// keeps no pair-dedupe table: an entry per pair ever seen would
+			// grow without bound and pin indefinite (timeout/cancel)
+			// verdicts forever. In-flight coalescing is the server's job,
+			// and definite cross-request reuse comes from the obligation
+			// cache.
+			return w.check(ctx, n1, n2)
+		}
+		e, leader := w.shared.dedup.claim(plan.PairKey(n1, n2))
+		if !leader {
+			<-e.done
+			deduped = true
+			return e.res
+		}
+		// A panicking check is recovered into the published verdict, and
+		// the deferred close wakes the followers whatever happens, so no
+		// follower is stranded on a channel that never closes.
+		defer close(e.done)
+		e.res = protect(func() Result { return w.check(ctx, n1, n2) })
+		return e.res
+	})
+	if deduped {
+		r = followerResult(r, id, start)
 	} else {
-		r = res
 		r.ID, r.Elapsed = id, time.Since(start)
 	}
 	w.shared.record(r)
 	return r
-}
-
-// leadPair is the raw-dedupe leader's work: normalize, claim (or wait on)
-// the normalized-pair flight, verify, and publish. Publication of every
-// claimed entry is deferred, so a panic anywhere inside — normalization,
-// the dedupe claim, verification — still publishes a NotProved
-// internal-error verdict and closes the done channels. Without the defer,
-// a panicking leader would strand every raw and normalized follower on a
-// channel that never closes.
-func (w *Worker) leadPair(ctx context.Context, q1, q2 plan.Node, k1, k2 string, rawE *dedupeEntry) (res Result, follower bool) {
-	var (
-		normE    *dedupeEntry
-		ledNorm  bool
-		finished bool
-	)
-	defer func() {
-		if !finished {
-			res = PanicResult("", recover())
-			follower = false
-		}
-		if ledNorm {
-			normE.res = res
-			close(normE.done)
-		}
-		rawE.res = res
-		close(rawE.done)
-	}()
-
-	n1 := w.normalizePlan(q1, k1)
-	n2 := w.normalizePlan(q2, k2)
-	// Encode the normalized pair once: HashKey(PairKey(n1, n2)) is
-	// PairFingerprint(n1, n2).
-	pk := plan.PairKey(n1, n2)
-	fp := plan.HashKey(pk)
-
-	e, leader := w.shared.dedup.claim(fp, w.shared.digestKey(pk))
-	if !leader {
-		<-e.done
-		res, follower, finished = e.res, true, true
-		return
-	}
-	normE, ledNorm = e, true
-	r := w.check(ctx, n1, n2)
-	r.Fingerprint = fp
-	res, finished = r, true
-	return
 }
 
 // followerResult adapts a dedupe leader's published result to the waiting

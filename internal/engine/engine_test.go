@@ -104,7 +104,7 @@ func TestWorkerOwnsVerifier(t *testing.T) {
 	}
 	verified := 0
 	for _, r := range results {
-		if !r.Deduped && r.Fingerprint != 0 {
+		if !r.Deduped && r.Stats.VeriCardCalls > 0 {
 			verified++
 		}
 	}

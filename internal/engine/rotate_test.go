@@ -214,9 +214,9 @@ func TestStoreLogDeterministic(t *testing.T) {
 // TestStoreVerdictWitnessRecordsPinned pins the verdict ('V') and witness
 // ('W') records of TestStoreLogDeterministic's run: their payloads, in log
 // order, must digest to the pinned value, so a store warmed by one version
-// answers the next one warm. Lemma ('L') records are free to change with
-// the solver's search. A change to obligation keys, verdicts or witnesses
-// must update the pin on purpose.
+// answers the next one warm. The store writes no other record kind. A
+// change to obligation keys, verdicts or witnesses must update the pin on
+// purpose.
 func TestStoreVerdictWitnessRecordsPinned(t *testing.T) {
 	const (
 		wantDigest       = "d2933ca135bf58b6"
@@ -253,7 +253,7 @@ func TestStoreVerdictWitnessRecordsPinned(t *testing.T) {
 		t.Errorf("witness records: %d (%d payload bytes), want %d (%d)", count['W'], size['W'], wantWitnesses, wantWitnessBytes)
 	}
 	if got := hex.EncodeToString(h.Sum(nil))[:16]; got != wantDigest {
-		t.Errorf("verdict and witness records digest to %s, pinned %s (%d lemma records, %d log bytes)",
-			got, wantDigest, count['L'], len(data))
+		t.Errorf("verdict and witness records digest to %s, pinned %s (%d log bytes)",
+			got, wantDigest, len(data))
 	}
 }

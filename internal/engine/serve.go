@@ -14,7 +14,7 @@ import (
 // dying with each batch. It differs from a per-batch Shared in what it
 // deliberately does NOT keep:
 //
-//   - no pair-dedupe tables — an entry per pair ever seen would grow
+//   - no pair-dedupe table — an entry per pair ever seen would grow
 //     without bound and would pin indefinite (timeout/cancel) verdicts
 //     forever; in-flight coalescing is the server's job, and definite
 //     cross-request reuse falls out of the obligation cache;
@@ -38,7 +38,7 @@ func NewEngine(cat *schema.Catalog, opts Options) *Engine {
 		opts.ConstraintDigest = cat.ConstraintDigest()
 	}
 	s := NewShared(opts)
-	s.rawDedup, s.dedup = nil, nil
+	s.dedup = nil
 	s.keys = nil
 	return &Engine{cat: cat, shared: s}
 }
@@ -93,7 +93,7 @@ func (e *Engine) VerifyPair(ctx context.Context, p Pair) (r Result) {
 // batch-local pair dedupe layered over the engine's persistent caches.
 // The overlay shares the norm memo, sat table, and obligation cache with
 // the engine — so a batch both benefits from and warms the long-lived
-// state — while its dedupe tables and counters live only as long as the
+// state — while its dedupe table and counters live only as long as the
 // call. BatchStats reports the batch's own work; the engine's lifetime
 // Stats include it too.
 func (e *Engine) VerifyBatch(ctx context.Context, pairs []Pair, workers int) ([]Result, BatchStats) {
@@ -118,7 +118,7 @@ func (e *Engine) VerifyBatch(ctx context.Context, pairs []Pair, workers int) ([]
 func (e *Engine) Stats() StatsSnapshot { return e.shared.Snapshot() }
 
 // batchOverlay builds a batch-scoped Shared on top of the engine's
-// persistent state: same memo tables, fresh dedupe tables and counters.
+// persistent state: same memo tables, a fresh dedupe table and counters.
 func (e *Engine) batchOverlay(workers int) *Shared {
 	s := e.shared
 	// No interner copy: the overlay delegates interner() to its parent, so
@@ -131,8 +131,7 @@ func (e *Engine) batchOverlay(workers int) *Shared {
 		o.cache = s.cache
 		o.norm = s.norm
 		o.sat = s.sat
-		o.rawDedup = &dedupeMap{m: make(map[uint64][]*dedupeEntry)}
-		o.dedup = &dedupeMap{m: make(map[uint64][]*dedupeEntry)}
+		o.dedup = &dedupeMap{m: make(map[string]*dedupeEntry)}
 		o.keys = make(map[plan.Node]string)
 	}
 	return o

@@ -215,11 +215,11 @@ func TestPlanKeysAllocationFree(t *testing.T) {
 	}
 }
 
-// BenchmarkPlanKeys measures the plan keys the engine and server build per
-// pair, over the production workload at scale 0.1: the raw plan's Key (the
-// normalization memo and raw dedupe), the raw pair's PairFingerprint (the
-// router), and the normalized pair's PairKey and PairFingerprint (the
-// normalized dedupe and the refutation seed). One op is one plan or pair.
+// BenchmarkPlanKeys measures the plan keys the engine builds per pair,
+// over the production workload at scale 0.1: the raw plan's Key (the
+// normalization memo), and the normalized pair's PairKey and
+// PairFingerprint (the pair dedupe and the refutation seed). One op is
+// one plan or pair.
 func BenchmarkPlanKeys(b *testing.B) {
 	vs := productionCorpus(0.1).versions()
 	raw, norm := vs[0], vs[2]
@@ -227,13 +227,6 @@ func BenchmarkPlanKeys(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			_ = plan.Key(raw.plans[i%len(raw.plans)])
-		}
-	})
-	b.Run("PairFingerprint/raw", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			p := raw.pairs[i%len(raw.pairs)]
-			_ = plan.PairFingerprint(p[0], p[1])
 		}
 	})
 	b.Run("PairKey/normalized", func(b *testing.B) {

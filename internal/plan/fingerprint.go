@@ -1,13 +1,11 @@
 package plan
 
-// Structural plan fingerprints for the batch-verification engine: a cheap
-// 64-bit hash that equal plan trees share and distinct trees almost never
-// do. Fingerprints index memo tables (normalization results, pair dedupe);
-// because 64 bits cannot guarantee uniqueness, every fingerprint-keyed
-// table must confirm identity against the full canonical serialization
-// (Key/PairKey) before reusing an entry — soundness never rests on hash
-// uniqueness, only on the canonical encoding being injective (see
-// AppendNode).
+// Structural plan fingerprints: a cheap 64-bit hash that equal plan trees
+// share and distinct trees almost never do. They serve where a fixed-size
+// hash is the point, such as the refutation search's seed. Memo tables key
+// on the full canonical serialization (Key/PairKey) instead: 64 bits
+// cannot guarantee uniqueness, while the canonical encoding is injective
+// (see AppendNode).
 //
 // Every function here is a pure function of the tree: they mutate nothing
 // and keep no memoized state, so they are safe to call concurrently on
@@ -52,8 +50,9 @@ func PairKey(a, b Node) string {
 	return string(AppendNode(key, b))
 }
 
-// HashKey hashes an already-computed canonical key (from Key, PairKey, or
-// their concatenation) to the fingerprint it corresponds to.
+// HashKey hashes a string with the fingerprints' FNV-1a fold: applied to a
+// canonical key (from Key or PairKey) it gives the fingerprint that key
+// corresponds to. The cluster router applies it to request text.
 func HashKey(key string) uint64 {
 	enc := encoder{hashing: true, sum: fnvOffset64}
 	enc.str(nil, key)

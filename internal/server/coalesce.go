@@ -10,13 +10,16 @@ import (
 )
 
 // coalescer deduplicates identical verifications that are in flight at
-// the same time: concurrent requests for the same plan pair share one
-// engine verification instead of racing N copies of the same proof.
+// the same time: concurrent requests for the same pair share one engine
+// verification instead of racing N copies of the same proof.
 //
-// Keying follows the engine's two-step discipline: the 64-bit pair
-// fingerprint picks the bucket, and the full canonical pair key confirms
-// identity, so a hash collision can never hand a request another pair's
-// verdict.
+// Flights are keyed by the request text, the pair of SQL strings as
+// received. A server verifies against one catalog, so the text fixes the
+// plans, and a Go map compares the whole key, so no request is ever handed
+// another pair's verdict. The key is a [2]string rather than the two
+// strings joined: the lexer skips a -- comment to the end of the line,
+// NUL bytes included, so a joined string can read the same for two pairs
+// that build to different plans.
 //
 // Entries live only while the leader runs — they are removed before the
 // waiters wake — so nothing is ever cached at this layer. That is
@@ -31,7 +34,7 @@ import (
 // client hung up.
 type coalescer struct {
 	mu sync.Mutex
-	m  map[uint64][]*flight
+	m  map[[2]string]*flight
 	// waiters counts followers currently blocked on a leader (tests use it
 	// to know every concurrent request has joined a flight).
 	waiters atomic.Int64
@@ -43,7 +46,6 @@ type coalescer struct {
 }
 
 type flight struct {
-	key  string
 	done chan struct{}
 	// set by the leader before close(done):
 	res   engine.Result
@@ -51,25 +53,19 @@ type flight struct {
 }
 
 func newCoalescer() *coalescer {
-	return &coalescer{m: make(map[uint64][]*flight)}
+	return &coalescer{m: make(map[[2]string]*flight)}
 }
 
-// do executes fn once per concurrent identical (fp, key): the first caller
-// becomes the leader and runs it, the rest wait and share the result.
-// coalesced reports whether this caller was a follower. The wait respects
-// ctx; fn itself must carry its own context (the leader's verification
-// must not die just because one waiter hung up).
-func (c *coalescer) do(ctx context.Context, fp uint64, key string, fn func() engine.Result) (res engine.Result, coalesced bool, err error) {
+// do executes fn once per concurrent identical (sql1, sql2): the first
+// caller becomes the leader and runs it, the rest wait and share the
+// result. coalesced reports whether this caller was a follower. The wait
+// respects ctx; fn itself must carry its own context (the leader's
+// verification must not die just because one waiter hung up).
+func (c *coalescer) do(ctx context.Context, sql1, sql2 string, fn func() engine.Result) (res engine.Result, coalesced bool, err error) {
+	key := [2]string{sql1, sql2}
 	for {
 		c.mu.Lock()
-		var f *flight
-		for _, e := range c.m[fp] {
-			if e.key == key {
-				f = e
-				break
-			}
-		}
-		if f != nil {
+		if f, ok := c.m[key]; ok {
 			c.waiters.Add(1)
 			c.mu.Unlock()
 			select {
@@ -84,11 +80,11 @@ func (c *coalescer) do(ctx context.Context, fp uint64, key string, fn func() eng
 				return engine.Result{}, true, ctx.Err()
 			}
 		}
-		f = &flight{key: key, done: make(chan struct{})}
-		c.m[fp] = append(c.m[fp], f)
+		f := &flight{done: make(chan struct{})}
+		c.m[key] = f
 		c.mu.Unlock()
 
-		return c.lead(fp, f, fn), false, nil
+		return c.lead(key, f, fn), false, nil
 	}
 }
 
@@ -101,7 +97,7 @@ func (c *coalescer) do(ctx context.Context, fp uint64, key string, fn func() eng
 // of inheriting a verdict that exists only because of someone else's
 // abort; the leader's own caller gets the recovered panic as a
 // NotProved/internal_error verdict.
-func (c *coalescer) lead(fp uint64, f *flight, fn func() engine.Result) (res engine.Result) {
+func (c *coalescer) lead(key [2]string, f *flight, fn func() engine.Result) (res engine.Result) {
 	finished := false
 	defer func() {
 		if !finished {
@@ -112,7 +108,9 @@ func (c *coalescer) lead(fp uint64, f *flight, fn func() engine.Result) (res eng
 		}
 		f.res = res
 		f.retry = res.Cancelled || res.Panicked
-		c.remove(fp, f)
+		c.mu.Lock()
+		delete(c.m, key)
+		c.mu.Unlock()
 		close(f.done)
 	}()
 	fault.Inject(fault.CoalesceLeader) // cancel outcome: ignored; cancellation flows through fn's ctx
@@ -121,32 +119,10 @@ func (c *coalescer) lead(fp uint64, f *flight, fn func() engine.Result) (res eng
 	return res
 }
 
-func (c *coalescer) remove(fp uint64, f *flight) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	bucket := c.m[fp]
-	for i, e := range bucket {
-		if e == f {
-			bucket[i] = bucket[len(bucket)-1]
-			bucket = bucket[:len(bucket)-1]
-			break
-		}
-	}
-	if len(bucket) == 0 {
-		delete(c.m, fp)
-	} else {
-		c.m[fp] = bucket
-	}
-}
-
 // inFlight returns the number of distinct verifications currently being
 // led through the coalescer (for tests and debugging).
 func (c *coalescer) inFlight() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	n := 0
-	for _, b := range c.m {
-		n += len(b)
-	}
-	return n
+	return len(c.m)
 }

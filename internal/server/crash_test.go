@@ -49,7 +49,7 @@ func TestCoalescerLeaderPanicDoesNotStrandWaiters(t *testing.T) {
 	leaderRes := make(chan engine.Result, 1)
 	go func() {
 		defer func() { recover() }() // pre-fix code lets the panic escape do; keep the test alive to report the real failure
-		res, _, _ := c.do(context.Background(), 7, "pair", func() engine.Result {
+		res, _, _ := c.do(context.Background(), "q1", "q2", func() engine.Result {
 			close(leaderIn)
 			<-release
 			panic("leader boom")
@@ -61,7 +61,7 @@ func TestCoalescerLeaderPanicDoesNotStrandWaiters(t *testing.T) {
 	// A follower joins the in-flight pair before the leader dies.
 	folRes := make(chan engine.Result, 1)
 	go func() {
-		res, _, err := c.do(context.Background(), 7, "pair", func() engine.Result {
+		res, _, err := c.do(context.Background(), "q1", "q2", func() engine.Result {
 			return engine.Result{Verdict: engine.NotProved, Reason: "follower retried"}
 		})
 		if err != nil {
@@ -112,7 +112,7 @@ func TestCoalescerCancelledWaiterNoLeak(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		c.do(context.Background(), 1, "k", func() engine.Result {
+		c.do(context.Background(), "q1", "q2", func() engine.Result {
 			close(leaderIn)
 			<-release
 			return engine.Result{Verdict: engine.Equivalent}
@@ -123,7 +123,7 @@ func TestCoalescerCancelledWaiterNoLeak(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	errCh := make(chan error, 1)
 	go func() {
-		_, _, err := c.do(ctx, 1, "k", func() engine.Result { return engine.Result{} })
+		_, _, err := c.do(ctx, "q1", "q2", func() engine.Result { return engine.Result{} })
 		errCh <- err
 	}()
 	for c.waiters.Load() != 1 {
@@ -139,6 +139,46 @@ func TestCoalescerCancelledWaiterNoLeak(t *testing.T) {
 		t.Errorf("flights retained: %d", c.inFlight())
 	}
 	settleGoroutines(t, base, 3*time.Second)
+}
+
+// TestCoalescerKeyIsInjective pins that flights are keyed by the two SQL
+// strings, not by their concatenation. The lexer skips a -- comment to
+// the end of the line, NUL bytes included, so both pairs below build:
+// the first to (EMP, EMP), the second to (EMP, DEPT). Joined with a NUL
+// they are the same string, and a joined key would hand the second pair
+// the first pair's verdict.
+func TestCoalescerKeyIsInjective(t *testing.T) {
+	c := newCoalescer()
+	leaderIn := make(chan struct{})
+	release := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		c.do(context.Background(), "SELECT * FROM EMP --\x00SELECT * FROM DEPT --", "SELECT * FROM EMP", func() engine.Result {
+			close(leaderIn)
+			<-release
+			return engine.Result{Verdict: engine.Equivalent}
+		})
+	}()
+	<-leaderIn
+	defer func() {
+		close(release)
+		<-done
+	}()
+
+	// The context is already cancelled. It governs only a follower's wait,
+	// so a leader runs fn regardless, while a follower returns at once
+	// instead of hanging on the blocked leader.
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	ran := false
+	res, coalesced, err := c.do(ctx, "SELECT * FROM EMP --", "SELECT * FROM DEPT --\x00SELECT * FROM EMP", func() engine.Result {
+		ran = true
+		return engine.Result{Verdict: engine.NotProved}
+	})
+	if err != nil || coalesced || !ran || res.Verdict != engine.NotProved {
+		t.Fatalf("distinct pair joined another flight: coalesced=%v ran=%v verdict=%v err=%v", coalesced, ran, res.Verdict, err)
+	}
 }
 
 // TestVerifyPanicDegradesToVerdict drives a panic through the real

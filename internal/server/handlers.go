@@ -179,17 +179,7 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Coalescing key: fingerprint bucket, canonical raw-pair key confirm —
-	// the same two-step discipline as the engine's memo tables. Namespaced
-	// by the constraint digest like every other verdict-bearing key: plan
-	// serializations don't mention constraints, verdicts depend on them.
-	rawKey := plan.PairKey(q1, q2)
-	if d := s.eng.ConstraintDigest(); d != "" {
-		rawKey = "c" + d + ":" + rawKey
-	}
-	fp := plan.HashKey(rawKey)
-
-	res, coalesced, err := s.coal.do(r.Context(), fp, rawKey, func() engine.Result {
+	res, coalesced, err := s.coal.do(r.Context(), req.SQL1, req.SQL2, func() engine.Result {
 		vctx, cancel := s.verifyCtx(req.TimeoutMS)
 		defer cancel()
 		return s.verifyPlans(vctx, req.ID, q1, q2)

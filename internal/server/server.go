@@ -15,9 +15,9 @@
 //   - admission control: a bounded in-flight semaphore plus a bounded wait
 //     queue; excess load is shed with 503 + Retry-After at the door, so
 //     overload degrades availability, never verdict quality;
-//   - in-flight coalescing: concurrent identical pairs (keyed by plan
-//     fingerprint, confirmed by the canonical pair key) share one
-//     verification — see coalescer for why nothing is cached there;
+//   - in-flight coalescing: concurrent requests with the same text (the
+//     two SQL strings, compared whole) share one verification — see
+//     coalescer for the key and for why nothing is cached there;
 //   - cancellation: each verification runs under a context bounded by the
 //     per-request timeout and the server's lifetime, plumbed down to the
 //     SMT model-round loop, so dropped deadlines and drains stop burning

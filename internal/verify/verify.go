@@ -115,9 +115,6 @@ type WitnessStore interface {
 
 // Config tunes a Verifier beyond the New defaults.
 type Config struct {
-	// MaxCandidates caps the bijections VeriVec tries per vector pair
-	// (0 means the default of 64).
-	MaxCandidates int
 	// Deadline, when non-zero, bounds the wall-clock time of the
 	// verification: the solver aborts with Unknown once it passes, so the
 	// pair degrades to "not proved" instead of stalling (sound: Unknown
@@ -178,9 +175,6 @@ type Config struct {
 // Config.Cache is the one sanctioned shared component; implementations are
 // required to be concurrency-safe.
 type Verifier struct {
-	// MaxCandidates caps the bijections VeriVec tries per vector pair.
-	MaxCandidates int
-
 	solver       *smt.Solver
 	gen          *symbolic.Gen
 	enc          *symbolic.Encoder
@@ -207,8 +201,8 @@ func New() *Verifier {
 	return NewWithConfig(Config{})
 }
 
-// NewWithConfig returns a Verifier configured for batch use: candidate
-// budget, wall-clock deadline, and a shared obligation cache.
+// NewWithConfig returns a Verifier configured for batch use: wall-clock
+// deadline, cancellation, and shared caches.
 func NewWithConfig(cfg Config) *Verifier {
 	in := cfg.Interner
 	if in == nil {
@@ -219,23 +213,18 @@ func NewWithConfig(cfg Config) *Verifier {
 	s.Deadline = cfg.Deadline
 	s.Ctx = cfg.Ctx
 	s.Interner = in
-	mc := cfg.MaxCandidates
-	if mc <= 0 {
-		mc = 64
-	}
 	return &Verifier{
-		MaxCandidates: mc,
-		solver:        s,
-		gen:           g,
-		enc:           symbolic.NewEncoder(g),
-		cache:         cfg.Cache,
-		store:         cfg.Store,
-		in:            in,
-		refuteBudget:  cfg.RefuteBudget,
-		witnesses:     cfg.Witnesses,
-		digest:        cfg.ConstraintDigest,
-		deadline:      cfg.Deadline,
-		ctx:           cfg.Ctx,
+		solver:       s,
+		gen:          g,
+		enc:          symbolic.NewEncoder(g),
+		cache:        cfg.Cache,
+		store:        cfg.Store,
+		in:           in,
+		refuteBudget: cfg.RefuteBudget,
+		witnesses:    cfg.Witnesses,
+		digest:       cfg.ConstraintDigest,
+		deadline:     cfg.Deadline,
+		ctx:          cfg.Ctx,
 	}
 }
 
@@ -859,6 +848,9 @@ func (v *Verifier) veriUnion(u1, u2 *plan.Union) *symbolic.QPSR {
 	return result
 }
 
+// maxCandidates caps the bijections veriVec tries per vector pair.
+const maxCandidates = 64
+
 // veriVec searches for a bijection between two vectors of sub-queries such
 // that each pair is cardinally equivalent (returning all candidate maps,
 // lazily, as the paper's VeriVec does). try receives the permutation
@@ -888,7 +880,7 @@ func (v *Verifier) veriVec(e1, e2 []plan.Node, try func(perm []int, qpsrs []*sym
 	used := make([]bool, n)
 	perm := make([]int, n)
 	qpsrs := make([]*symbolic.QPSR, n)
-	budget := v.MaxCandidates
+	budget := maxCandidates
 	var rec func(i int) bool
 	rec = func(i int) bool {
 		if i == n {

@@ -99,8 +99,6 @@ type Options struct {
 	// DisableNormalization runs the verifier on raw plan trees — the
 	// paper's "SPES (w/o normalization)" ablation.
 	DisableNormalization bool
-	// NormalizeOptions tunes individual rules when normalization is on.
-	NormalizeOptions normalize.Options
 	// RefuteBudget, when positive, runs the bounded refutation pass after
 	// a failed proof: up to this many small random databases are executed
 	// looking for one where the outputs differ, turning NotProved into
@@ -207,7 +205,7 @@ func classifyBuildError(err error) (Result, error) {
 // VerifyPlans verifies two already-built plans.
 func VerifyPlans(q1, q2 plan.Node, opts Options) Result {
 	if !opts.DisableNormalization {
-		nz := normalize.New(opts.NormalizeOptions)
+		nz := normalize.New(normalize.Options{})
 		q1 = nz.Normalize(q1)
 		q2 = nz.Normalize(q2)
 	}
